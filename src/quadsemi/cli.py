@@ -90,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default {DEFAULT_LIMITS.max_class_size})",
     )
     parser.add_argument(
-        "--workers", type=_positive, default=1, metavar="K",
-        help="worker budget for batch commands (currently single-process; "
-        "accepted for forward compatibility)",
-    )
-    parser.add_argument(
         "--cache", default=None, metavar="DIR",
         help="read/write finished runs under DIR (default: $QUADSEMI_CACHE_DIR)",
     )

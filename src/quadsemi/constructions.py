@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DEFAULT_LIMITS, EngineLimits, iter_class
+from .engine import DEFAULT_LIMITS, EngineLimits, _rules, _walk
 from .model import (
     IdealMode,
     Presentation,
@@ -141,19 +141,22 @@ def power_witness(p: Presentation, q: int | None = None,
                   limits: EngineLimits = DEFAULT_LIMITS) -> Word | None:
     """Member of the reduced-ideal class of x1^q ending in the top letter.
 
-    Scans the swap closure in discovery order and stops at the first such
-    member, because at moderate n the full class is far larger than the
-    distance to a witness.  Returns None when the closure is exhausted
-    without one.  The default power is witness_power(n).
+    Scans the engine's class walk (depth-first, root first, each member in
+    discovery order) and stops at the first such member, because at
+    moderate n the full class is far larger than the distance to a
+    witness.  The scan reads the walk's byte words and converts only the
+    witness.  Returns None when the closure is exhausted without one.  The
+    default power is witness_power(n).
     """
     n = p.alphabet.n
     if q is None:
         q = witness_power(n)
     if q < 1:
         raise ValueError("the power must be at least 1")
-    for member in iter_class((1,) * q, p, IdealMode.WITHOUT_TOP, limits):
+    rules = _rules(p, IdealMode.WITHOUT_TOP)
+    for member in _walk(bytes((1,)) * q, rules, limits.max_class_size, set()):
         if member[-1] == n:
-            return member
+            return tuple(member)
     return None
 
 

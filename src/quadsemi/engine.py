@@ -10,15 +10,20 @@ its minimal monomial.
 
 Internally letters are bytes (letter i is the byte i) and words are byte
 strings: slicing, substring tests and the reversed-word order key ``w[::-1]``
-all run at C speed.  Class walks are depth-first; the visiting order does
-not affect any result because the full closure is always taken.
+all run at C speed.  Every class walk is one depth-first generator,
+``_walk``, which yields the root and then each member in discovery order.
+Callers that take the full closure get the same answer in any order; only
+the first member an early-stopping scan meets (``iter_class``,
+``constructions.power_witness``) depends on it.
 
 Minimality is decided by walking the whole class, never by greedy directed
 reduction.  The directed rewriting system terminates but nothing guarantees
-confluence, so a greedy normal form could land above the true minimum.  Two
-shortcuts remain sound without confluence: a word containing the left side
-of an equality rewrites to a strictly smaller equivalent word and is never
-minimal, and a word containing a zero pair is zero.
+confluence, so a greedy normal form could land above the true minimum.
+What stays sound without confluence is factor closure: the right-to-left
+order is multiplicative on words of equal length, so every factor of a
+minimal word is minimal and every factor of a singular word is singular.
+One degree step, ``_next_degree``, therefore extends the kept words of the
+degree below only by letters that leave a kept suffix.
 
 Resource caps never silently change an answer.  Hitting max_class_size
 raises ResourceExhausted, and callers report that outcome as inconclusive.
@@ -26,7 +31,7 @@ raises ResourceExhausted, and callers report that outcome as inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -78,7 +83,6 @@ class CosetClass:
     degree: int
     members: frozenset | None
     minimal: Word | None
-    parents: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_zero(self) -> bool:
@@ -121,14 +125,13 @@ class RegularityResult:
 class _Rules:
     """Presentation compiled to byte tables for one ideal mode."""
 
-    __slots__ = ("n", "maxbyte", "swap", "zeros", "skip_pairs")
+    __slots__ = ("n", "maxbyte", "swap", "zeros")
 
-    def __init__(self, n, maxbyte, swap, zeros, skip_pairs):
+    def __init__(self, n, maxbyte, swap, zeros):
         self.n = n
         self.maxbyte = maxbyte
         self.swap = swap
         self.zeros = zeros
-        self.skip_pairs = skip_pairs
 
 
 @lru_cache(maxsize=256)
@@ -145,7 +148,6 @@ def _rules(p: Presentation, mode: IdealMode) -> _Rules:
             )
         zero_pairs.remove(top)
     swap: dict = {}
-    redex = set()
     for rel in p.relations:
         if rel.is_zero:
             continue
@@ -153,11 +155,9 @@ def _rules(p: Presentation, mode: IdealMode) -> _Rules:
         right = bytes(rel.right)
         swap.setdefault(left, []).append(right)
         swap.setdefault(right, []).append(left)
-        redex.add(left)
     swap = {k: tuple(v) for k, v in swap.items()}
     zeros = tuple(sorted(bytes(q) for q in zero_pairs))
-    skip = frozenset(zeros) | redex
-    return _Rules(n, n, swap, zeros, skip)
+    return _Rules(n, n, swap, zeros)
 
 
 def _encode_word(word, p: Presentation) -> bytes:
@@ -181,22 +181,20 @@ def _exhausted(w: bytes, cap: int) -> ResourceExhausted:
     )
 
 
-def _full_class(w: bytes, rules: _Rules, cap: int, want_parents: bool = False):
-    """Complete closure of w under swaps; stops early only on a zero hit.
+def _walk(w: bytes, rules: _Rules, cap: int, seen: set):
+    """Yield w, then each new member of its swap closure in discovery order.
 
-    Returns (zero, seen, parents).  On a zero hit, seen is the part walked
-    so far; every word in it belongs to the (zero) class.
+    A member is yielded before it joins ``seen``, so a consumer that stops
+    at one decides whether to record it.  ResourceExhausted is raised only
+    when a member would take ``seen`` past ``cap``.  A walk run to the end
+    leaves the whole class in ``seen``.
     """
-    zeros = rules.zeros
     swap = rules.swap
-    seen = {w}
+    yield w
+    seen.add(w)
     stack = [w]
-    parents: dict | None = {} if want_parents else None
     while stack:
         v = stack.pop()
-        for z in zeros:
-            if z in v:
-                return True, seen, parents
         for i in range(len(v) - 1):
             reps = swap.get(v[i:i + 2])
             if reps is None:
@@ -205,14 +203,13 @@ def _full_class(w: bytes, rules: _Rules, cap: int, want_parents: bool = False):
             tail = v[i + 2:]
             for r in reps:
                 nb = head + r + tail
-                if nb not in seen:
-                    if len(seen) >= cap:
-                        raise _exhausted(w, cap)
-                    seen.add(nb)
-                    stack.append(nb)
-                    if parents is not None:
-                        parents[nb] = (v, i)
-    return False, seen, parents
+                if nb in seen:
+                    continue
+                yield nb
+                if len(seen) >= cap:
+                    raise _exhausted(w, cap)
+                seen.add(nb)
+                stack.append(nb)
 
 
 def _top_suffix_witness(v: bytes, w: bytes, m: int, maxbyte: int) -> bool:
@@ -251,7 +248,7 @@ def _cache_class(known: dict, seen: set, mark: bytes, cand_set: frozenset,
     return memo_room
 
 
-def _probe(w: bytes, rules: _Rules, cap: int, known: dict | None,
+def _probe(w: bytes, rules: _Rules, cap: int, known: dict,
            want_tame: bool, stop_on_tame: bool):
     """Classify w by walking its class with early exits.
 
@@ -269,80 +266,45 @@ def _probe(w: bytes, rules: _Rules, cap: int, known: dict | None,
     fully enumerated classes.  Touching a known word settles w at once.
     """
     zeros = rules.zeros
-    swap = rules.swap
     maxbyte = rules.maxbyte
-    for z in zeros:
-        if z in w:
-            return "zero", False, {w}
     wrev = w[::-1]
     m = len(w)
     tame = False
-    if want_tame and _top_suffix_witness(w, w, m, maxbyte):
-        if stop_on_tame:
-            return "not_singular", True, None
-        tame = True
-    seen = {w}
-    stack = [w]
-    while stack:
-        v = stack.pop()
-        for i in range(len(v) - 1):
-            reps = swap.get(v[i:i + 2])
-            if reps is None:
-                continue
-            head = v[:i]
-            tail = v[i + 2:]
-            for r in reps:
-                nb = head + r + tail
-                if nb in seen:
-                    continue
-                if known is not None:
-                    kn = known.get(nb)
-                    if kn is not None:
-                        if kn:
-                            return "nonminimal", False, None
-                        seen.add(nb)
-                        return "zero", False, seen
-                hit_zero = False
-                for z in zeros:
-                    if z in nb:
-                        hit_zero = True
-                        break
-                if hit_zero:
-                    seen.add(nb)
-                    return "zero", False, seen
-                if nb[::-1] < wrev:
-                    return "nonminimal", False, None
-                if want_tame and not tame and _top_suffix_witness(nb, w, m, maxbyte):
-                    if stop_on_tame:
-                        return "not_singular", True, None
-                    tame = True
-                if len(seen) >= cap:
-                    raise _exhausted(w, cap)
-                seen.add(nb)
-                stack.append(nb)
+    seen: set = set()
+    for v in _walk(w, rules, cap, seen):
+        kn = known.get(v)
+        if kn is not None:
+            if kn:
+                return "nonminimal", False, None
+            seen.add(v)
+            return "zero", False, seen
+        for z in zeros:
+            if z in v:
+                seen.add(v)
+                return "zero", False, seen
+        if v[::-1] < wrev:
+            return "nonminimal", False, None
+        if want_tame and not tame and _top_suffix_witness(v, w, m, maxbyte):
+            if stop_on_tame:
+                return "not_singular", True, None
+            tame = True
     return "minimal", tame, seen
 
 
 def coset_class(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
-                limits: EngineLimits = DEFAULT_LIMITS,
-                track_parents: bool = False) -> CosetClass:
-    """Full swap closure of a word, with the zero verdict folded in.
-
-    With track_parents the discovery tree is recorded: parents[child] is
-    (parent, position) where child arose from parent by one swap at the
-    given position.
-    """
+                limits: EngineLimits = DEFAULT_LIMITS) -> CosetClass:
+    """Full swap closure of a word, with the zero verdict folded in."""
     w = _encode_word(word, p)
     rules = _rules(p, mode)
-    zero, seen, parents = _full_class(w, rules, limits.max_class_size, track_parents)
-    pmap = None
-    if parents is not None:
-        pmap = {tuple(k): (tuple(v), i) for k, (v, i) in parents.items()}
-    if zero:
-        return CosetClass(len(w), None, None, pmap)
+    zeros = rules.zeros
+    seen: set = set()
+    for v in _walk(w, rules, limits.max_class_size, seen):
+        for z in zeros:
+            if z in v:
+                return CosetClass(len(w), None, None)
     members = frozenset(map(tuple, seen))
     minimal = tuple(min(seen, key=_rev))
-    return CosetClass(len(w), members, minimal, pmap)
+    return CosetClass(len(w), members, minimal)
 
 
 def minimal_monomial(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
@@ -356,33 +318,15 @@ def iter_class(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
                limits: EngineLimits = DEFAULT_LIMITS):
     """Stream the swap closure of a word in discovery order, root first.
 
-    Yields plain members without the zero verdict or the minimum, so an
-    existence scan (does any member look like this?) can stop early
-    instead of materializing a class that may be millions of words.
-    Raises ResourceExhausted past the class-size cap.
+    The walk is depth-first and each member is yielded as soon as a swap
+    first produces it.  Members come without the zero verdict or the
+    minimum, so an existence scan (does any member look like this?) can
+    stop early instead of materializing a class that may be millions of
+    words.  Raises ResourceExhausted past the class-size cap.
     """
     w = _encode_word(word, p)
-    rules = _rules(p, mode)
-    cap = limits.max_class_size
-    swap = rules.swap
-    seen = {w}
-    stack = [w]
-    while stack:
-        v = stack.pop()
+    for v in _walk(w, _rules(p, mode), limits.max_class_size, set()):
         yield tuple(v)
-        for i in range(len(v) - 1):
-            reps = swap.get(v[i:i + 2])
-            if reps is None:
-                continue
-            head = v[:i]
-            tail = v[i + 2:]
-            for r in reps:
-                nb = head + r + tail
-                if nb not in seen:
-                    if len(seen) >= cap:
-                        raise _exhausted(w, cap)
-                    seen.add(nb)
-                    stack.append(nb)
 
 
 def classify(word, p: Presentation, mode: IdealMode = IdealMode.WITHOUT_TOP,
@@ -420,35 +364,32 @@ def initial_basis(p: Presentation, mode: IdealMode = IdealMode.FULL) -> MinimalB
     return MinimalBasis(1, minimals, singular)
 
 
-def next_minimal_basis(basis: MinimalBasis, p: Presentation,
-                       mode: IdealMode = IdealMode.FULL,
-                       limits: EngineLimits = DEFAULT_LIMITS) -> MinimalBasis:
-    """Minimal monomials one degree up from a complete minimal basis.
+def _next_degree(prev, rules: _Rules, cap: int, want_tame: bool,
+                 stop_on_tame: bool):
+    """Kept words one degree above ``prev``, a factor-closed word set.
 
-    Candidates are the one-letter extensions of the given minimals; a word
-    is kept exactly when it is the minimum of its own nonzero class.  The
-    prefix of a minimal word is minimal, so the candidate set is complete.
-    Candidates are walked in ascending order, and once a class has been
-    enumerated every other candidate inside it is settled by table lookup.
+    Candidates are the extensions u + x of words in ``prev`` whose suffix
+    u[1:] + x is in ``prev`` too; for minimal and for singular words that
+    is every word that can survive.  Candidates are walked in ascending
+    order, and once a class has been enumerated every other candidate
+    inside it is settled by table lookup.  Returns (kept, singular) as
+    rtl-ascending byte words: kept are the minima of their own nonzero
+    classes, singular the kept words with no tame witness (only computed
+    with want_tame; with stop_on_tame a tame word is not kept at all).
     """
-    rules = _rules(p, mode)
-    cap = limits.max_class_size
-    want_tame = mode is IdealMode.WITHOUT_TOP
     letters = [bytes([x]) for x in range(1, rules.n + 1)]
-    cands = [bytes(u) + x for u in basis.minimals for x in letters]
+    prev_set = set(prev)
+    cands = [u + x for u in prev for x in letters if u[1:] + x in prev_set]
     cands.sort(key=_rev)
     cand_set = frozenset(cands)
     known: dict = {}
     memo_room = _MEMO_WORD_BUDGET
     keep = []
     sing = []
-    skip_pairs = rules.skip_pairs
     for c in cands:
-        if c[-2:] in skip_pairs:
-            continue
         if c in known:
             continue
-        status, tame, seen = _probe(c, rules, cap, known, want_tame, False)
+        status, tame, seen = _probe(c, rules, cap, known, want_tame, stop_on_tame)
         if status == "zero":
             memo_room = _cache_class(known, seen, _ZERO_MARK, cand_set, memo_room)
         elif status == "minimal":
@@ -456,6 +397,24 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
             if want_tame and not tame:
                 sing.append(c)
             memo_room = _cache_class(known, seen, c, cand_set, memo_room)
+    return keep, sing
+
+
+def next_minimal_basis(basis: MinimalBasis, p: Presentation,
+                       mode: IdealMode = IdealMode.FULL,
+                       limits: EngineLimits = DEFAULT_LIMITS) -> MinimalBasis:
+    """Minimal monomials one degree up from a complete minimal basis.
+
+    A word is kept exactly when it is the minimum of its own nonzero class.
+    Every factor of a minimal word is minimal, so the candidates are the
+    one-letter extensions of the given minimals whose length-k suffix is
+    one of them too; that candidate set is complete.
+    """
+    rules = _rules(p, mode)
+    keep, sing = _next_degree(
+        [bytes(u) for u in basis.minimals], rules, limits.max_class_size,
+        mode is IdealMode.WITHOUT_TOP, False,
+    )
     return MinimalBasis(
         basis.degree + 1,
         tuple(map(tuple, keep)),
@@ -476,36 +435,13 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     if not report.valid:
         raise ValueError("singular sets are defined for valid QHS presentations only")
     rules = _rules(p, IdealMode.WITHOUT_TOP)
-    n = rules.n
     cap = limits.max_class_size
-    letters = [bytes([x]) for x in range(1, n + 1)]
-    sing = [bytes([x]) for x in range(1, n)]
+    sing = [bytes([x]) for x in range(1, rules.n)]
     yield 1, tuple(map(tuple, sing))
     degree = 1
-    skip_pairs = rules.skip_pairs
     while sing and degree < limits.max_degree:
         degree += 1
-        prev = set(sing)
-        cands = sorted(
-            {u + x for u in sing for x in letters if u[1:] + x in prev},
-            key=_rev,
-        )
-        cand_set = frozenset(cands)
-        known: dict = {}
-        memo_room = _MEMO_WORD_BUDGET
-        nxt = []
-        for c in cands:
-            if c[-2:] in skip_pairs:
-                continue
-            if c in known:
-                continue
-            status, tame, seen = _probe(c, rules, cap, known, True, True)
-            if status == "zero":
-                memo_room = _cache_class(known, seen, _ZERO_MARK, cand_set, memo_room)
-            elif status == "minimal":
-                nxt.append(c)
-                memo_room = _cache_class(known, seen, c, cand_set, memo_room)
-        sing = nxt
+        sing, _ = _next_degree(sing, rules, cap, True, True)
         yield degree, tuple(map(tuple, sing))
 
 
@@ -539,12 +475,3 @@ def regularity_degree(p: Presentation,
         return RegularityResult("irregular_up_to", limits.max_degree)
     except ResourceExhausted as exc:
         return RegularityResult("inconclusive", last, None, str(exc))
-
-
-def basis_to_json(basis: MinimalBasis, truncated: bool = False) -> dict:
-    return {
-        "degree": basis.degree,
-        "minimals": [list(w) for w in basis.minimals],
-        "singular": [list(w) for w in basis.singular],
-        "truncated": truncated,
-    }

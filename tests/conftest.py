@@ -1,9 +1,6 @@
-from functools import lru_cache
-
 import pytest
 
 from quadsemi import base_qhs, build_regular_qhs
-from quadsemi.census import enumerate_qhs
 
 
 @pytest.fixture(scope="session")
@@ -29,9 +26,3 @@ def m4():
 @pytest.fixture(scope="session")
 def tower5():
     return build_regular_qhs(5)
-
-
-@lru_cache(maxsize=None)
-def qhs_census(n: int) -> tuple:
-    """All QHS on n generators, enumerated once per test session."""
-    return tuple(enumerate_qhs(n))

@@ -10,7 +10,7 @@ import time
 from itertools import islice
 
 import bruteforce
-from conftest import qhs_census
+from small_qhs import qhs_census
 
 from quadsemi.analysis import hilbert_profile
 from quadsemi.census import certificate_sweep, enumerate_presentations, pure_bound_check
@@ -159,6 +159,10 @@ def test_criterion_07_oracle_equivalence():
             expected = oracle.nonzero_minimals()
             assert len(basis.minimals) == len(expected), (p, mode, m)
             assert list(basis.minimals) == expected, (p, mode, m)
+            if without_top:
+                singular = oracle.singular_words()
+                assert list(basis.singular) == singular, (p, m)
+                assert list(singular_monomials(p, m)) == singular, (p, m)
             if not basis.minimals:
                 break
 

@@ -11,7 +11,7 @@ from quadsemi.census import (
 )
 from quadsemi.model import lower_pairs, qhs_cardinality_bounds, validate_qhs
 
-from conftest import qhs_census
+from small_qhs import qhs_census
 
 
 class TestQhsEnumeration:

@@ -136,6 +136,12 @@ class TestWitness:
         assert len(w) == 8
         assert w[-1] == 5
 
+    def test_witnesses_are_frozen(self, tower5):
+        # lemma-m1 answers are cached under ENGINE_VERSION: a walk-order
+        # change that moves a witness must bump the version
+        assert power_witness(tower5) == (5, 1, 1, 3, 2, 5, 5, 5)
+        assert power_witness(build_regular_qhs(6)) == (2, 4, 6, 4, 3, 5, 3, 2, 6, 6, 6)
+
     def test_unreachable_power_returns_none(self, tower5):
         assert power_witness(tower5, 1) is None
 

@@ -4,7 +4,6 @@ from quadsemi.engine import (
     Classification,
     EngineLimits,
     ResourceExhausted,
-    basis_to_json,
     classify,
     coset_class,
     initial_basis,
@@ -71,19 +70,6 @@ class TestCosetClass:
                 v = minimal_monomial(word, p, REDUCED)
                 if v is not None:
                     assert minimal_monomial(v, p, REDUCED) == v
-
-    def test_parent_tree_replays_to_valid_swaps(self, m3):
-        cls = coset_class((1, 1, 1), m3, REDUCED, track_parents=True)
-        swaps = set()
-        for rel in m3.binomial_relations():
-            swaps.add((rel.left, rel.right))
-            swaps.add((rel.right, rel.left))
-        assert (1, 1, 1) not in cls.parents
-        assert set(cls.parents) | {(1, 1, 1)} == set(cls.members)
-        for child, (parent, i) in cls.parents.items():
-            assert child[:i] == parent[:i]
-            assert child[i + 2:] == parent[i + 2:]
-            assert (parent[i:i + 2], child[i:i + 2]) in swaps
 
 
 class TestIterClass:
@@ -201,16 +187,6 @@ class TestBases:
         assert keys == sorted(keys)
         for w in basis.minimals:
             assert minimal_monomial(w, tower5, REDUCED) == w
-
-    def test_basis_to_json(self, m2):
-        basis = next_minimal_basis(initial_basis(m2, FULL), m2, FULL)
-        assert basis_to_json(basis) == {
-            "degree": 2,
-            "minimals": [[1, 1], [1, 2]],
-            "singular": [],
-            "truncated": False,
-        }
-        assert basis_to_json(basis, truncated=True)["truncated"] is True
 
 
 class TestSingularIteration:

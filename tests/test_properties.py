@@ -4,7 +4,7 @@ order and serialisation laws on randomly drawn presentations."""
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from conftest import qhs_census
+from small_qhs import qhs_census
 
 from quadsemi.census import relation_universe
 from quadsemi.engine import (
