@@ -1,11 +1,18 @@
 """Persistent cache for expensive runs, keyed by content and parameters.
 
-Records append to <dir>/runs.jsonl, one JSON object per line.  A lookup
-matches on the presentation's content hash, the operation name, the exact
-parameter set, and the engine version, so changing a cap or upgrading the
-engine re-runs instead of replaying stale results.  The file is never
-rewritten; the last matching line wins, and unreadable lines (for example
-a truncated tail after a crash) are skipped.
+Records append to <dir>/runs.jsonl, one JSON object per line, each written
+by a single append so concurrent writers cannot interleave a line.  A
+lookup matches on the presentation's content hash, the operation name,
+the exact parameter set, and the engine version, so changing a cap or
+upgrading the engine re-runs instead of replaying stale results.  The
+file is never rewritten; the last matching line wins, and unreadable
+lines (for example a truncated tail after a crash, or a record whose
+result is not an object) are skipped.
+
+Each process indexes the file it reads: it keeps the bytes indexed so far
+and the byte span of the winning line per key, and a lookup parses only
+the whole lines appended since.  If the file no longer starts with the
+indexed bytes (truncated, rewritten or replaced), the index is rebuilt.
 """
 
 from __future__ import annotations
@@ -22,8 +29,29 @@ ENV_VAR = "QUADSEMI_CACHE_DIR"
 _FILENAME = "runs.jsonl"
 
 
+# cache file -> (its bytes indexed so far, whole lines only,
+#                {key: (start, end) byte span of the last matching line})
+_INDEX: dict[Path, tuple[bytes, dict]] = {}
+
+
 def _params_key(parameters: dict) -> str:
     return json.dumps(parameters, sort_keys=True, separators=(",", ":"))
+
+
+def _index_lines(data: bytes, start: int, end: int, spans: dict) -> None:
+    """Add the lines of data[start:end] that hold a current record to spans."""
+    while start < end:
+        stop = data.index(b"\n", start)
+        try:
+            rec = json.loads(data[start:stop].decode("utf-8"))
+            if (rec["engine_version"] == ENGINE_VERSION
+                    and isinstance(rec["result"], dict)):
+                key = (rec["presentation_hash"], rec["operation"],
+                       _params_key(rec["parameters"]))
+                spans[key] = (start, stop)
+        except (ValueError, KeyError, TypeError):
+            pass
+        start = stop + 1
 
 
 @dataclass(frozen=True)
@@ -46,27 +74,23 @@ class RunCache:
     def lookup(self, presentation_hash: str, operation: str,
                parameters: dict) -> dict | None:
         """Result of the most recent matching run, or None."""
-        if not self.path.exists():
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            _INDEX.pop(self.path, None)
             return None
-        want = (presentation_hash, operation, _params_key(parameters))
-        found = None
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = (
-                        rec["presentation_hash"],
-                        rec["operation"],
-                        _params_key(rec["parameters"]),
-                    )
-                    if key == want and rec["engine_version"] == ENGINE_VERSION:
-                        found = rec["result"]
-                except (ValueError, KeyError, TypeError):
-                    continue
-        return found
+        done, spans = _INDEX.get(self.path, (b"", {}))
+        if not data.startswith(done):
+            done, spans = b"", {}
+        end = data.rfind(b"\n") + 1
+        if end > len(done):
+            _index_lines(data, len(done), end, spans)
+            done = data[:end]
+        _INDEX[self.path] = (done, spans)
+        span = spans.get((presentation_hash, operation, _params_key(parameters)))
+        if span is None:
+            return None
+        return json.loads(data[span[0]:span[1]])["result"]
 
     def store(self, presentation_hash: str, operation: str, parameters: dict,
               result: dict, wall_time: float) -> RunRecord:
@@ -92,8 +116,11 @@ class RunCache:
             sort_keys=True,
             separators=(",", ":"),
         )
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            os.write(fd, (line + "\n").encode("utf-8"))
+        finally:
+            os.close(fd)
         return record
 
 

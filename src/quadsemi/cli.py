@@ -469,9 +469,14 @@ _HANDLERS = {
 }
 
 
+_parser = None  # built at the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except _Fail as exc:

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 from quadsemi.cache import ENV_VAR, RunCache, resolve_cache
 from quadsemi.engine import ENGINE_VERSION
@@ -77,3 +79,151 @@ def test_resolve_precedence(tmp_path, monkeypatch):
     assert resolve_cache(str(tmp_path / "flag")).directory == tmp_path / "flag"
     monkeypatch.setenv(ENV_VAR, "")
     assert resolve_cache(None) is None
+
+
+def test_undecodable_line_is_skipped(tmp_path):
+    cache = RunCache(tmp_path)
+    cache.path.write_bytes(b"\xff\xfe\n")
+    cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
+    with cache.path.open("ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
+    assert cache.lookup(HASH, "regularity", PARAMS) is None
+
+
+def test_non_object_result_is_skipped(tmp_path):
+    cache = RunCache(tmp_path)
+    cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
+    for bad in (5, [], None, "finite:2"):
+        cache.store(HASH, "hilbert", PARAMS, bad, 0.0)
+        assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
+    cache.store(HASH, "regularity", PARAMS, [], 0.0)
+    assert cache.lookup(HASH, "regularity", PARAMS) is None
+
+
+# -- the per-process index ------------------------------------------------
+
+
+def test_truncate_and_rewrite_under_live_index(tmp_path):
+    cache = RunCache(tmp_path)
+    cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
+    warm = cache.path.read_bytes()
+    cache.store(HASH, "regularity", PARAMS, {"degree": 4}, 0.0)
+    assert cache.lookup(HASH, "regularity", PARAMS) == {"degree": 4}
+    cache.path.write_bytes(warm)
+    assert cache.lookup(HASH, "regularity", PARAMS) is None
+    assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
+    cache.store(HASH, "regularity", PARAMS, {"degree": 5}, 0.0)
+    assert cache.lookup(HASH, "regularity", PARAMS) == {"degree": 5}
+
+
+def test_same_size_rewrite_is_seen(tmp_path):
+    cache = RunCache(tmp_path)
+    cache.store(HASH, "hilbert", PARAMS, {"dims": [1, 2]}, 0.0)
+    assert cache.lookup(HASH, "hilbert", PARAMS) == {"dims": [1, 2]}
+    data = cache.path.read_bytes()
+    cache.path.write_bytes(data.replace(b"[1,2]", b"[1,3]"))
+    assert cache.lookup(HASH, "hilbert", PARAMS) == {"dims": [1, 3]}
+    stale = data.replace(ENGINE_VERSION.encode(), b"9" * len(ENGINE_VERSION))
+    cache.path.write_bytes(stale)
+    assert cache.path.stat().st_size == len(data)
+    assert cache.lookup(HASH, "hilbert", PARAMS) is None
+
+
+def test_replaced_file_is_seen(tmp_path):
+    cache = RunCache(tmp_path)
+    cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
+    assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
+    other = RunCache(tmp_path / "other")
+    other.store(HASH, "regularity", PARAMS, {"degree": 4}, 0.0)
+    other.store(HASH, "hilbert", {}, RESULT, 0.0)
+    assert other.path.stat().st_size > cache.path.stat().st_size
+    os.replace(other.path, cache.path)
+    assert cache.lookup(HASH, "hilbert", PARAMS) is None
+    assert cache.lookup(HASH, "regularity", PARAMS) == {"degree": 4}
+    assert cache.lookup(HASH, "hilbert", {}) == RESULT
+
+
+def test_torn_tail_is_not_indexed(tmp_path):
+    cache = RunCache(tmp_path)
+    cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
+    whole = cache.path.read_bytes()
+    cache.store(HASH, "regularity", PARAMS, {"degree": 4}, 0.0)
+    record = cache.path.read_bytes()[len(whole):]
+    torn = record[:len(record) // 2]
+    cache.path.write_bytes(whole + torn)
+    assert cache.lookup(HASH, "regularity", PARAMS) is None
+    assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
+    # the torn half and the next record become one unreadable line
+    cache.store(HASH, "regularity", PARAMS, {"degree": 5}, 0.0)
+    assert cache.lookup(HASH, "regularity", PARAMS) is None
+    assert len(cache.path.read_bytes().splitlines()) == 2
+    cache.store(HASH, "regularity", PARAMS, {"degree": 6}, 0.0)
+    assert cache.lookup(HASH, "regularity", PARAMS) == {"degree": 6}
+
+
+def test_deleted_file_misses(tmp_path):
+    cache = RunCache(tmp_path)
+    cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
+    assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
+    cache.path.unlink()
+    assert cache.lookup(HASH, "hilbert", PARAMS) is None
+
+
+def test_hits_are_fresh_objects(tmp_path):
+    cache = RunCache(tmp_path)
+    cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
+    hit = cache.lookup(HASH, "hilbert", PARAMS)
+    hit["dims"].append(99)
+    hit["verdict"] = "open"
+    assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
+
+
+def test_store_from_second_instance_is_seen(tmp_path):
+    first = RunCache(tmp_path)
+    second = RunCache(tmp_path)
+    first.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
+    assert first.lookup(HASH, "regularity", PARAMS) is None
+    second.store(HASH, "regularity", PARAMS, {"degree": 4}, 0.0)
+    assert first.lookup(HASH, "regularity", PARAMS) == {"degree": 4}
+
+
+# -- concurrent appends ---------------------------------------------------
+
+
+def _append_records(directory, tag, barrier):
+    cache = RunCache(directory)
+    barrier.wait()
+    for i in range(200):
+        # every fifth record is well past 8 KB, a typical buffer size
+        dims = list(range(3000)) if i % 5 == 0 else [i]
+        cache.store(f"{tag}{i:04d}", "hilbert", PARAMS, {"dims": dims, "i": i}, 0.0)
+
+
+def test_concurrent_appends_do_not_interleave(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    workers = [ctx.Process(target=_append_records, args=(tmp_path, tag, barrier))
+               for tag in ("a", "b")]
+    for w in workers:
+        w.start()
+    try:
+        for w in workers:
+            w.join(60)
+            assert w.exitcode == 0
+    finally:
+        for w in workers:
+            if w.is_alive():
+                w.kill()
+    cache = RunCache(tmp_path)
+    lines = cache.path.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == 400
+    assert max(len(line) for line in lines) > 8192
+    for line in lines:
+        json.loads(line)
+    for tag in ("a", "b"):
+        for i in range(200):
+            dims = list(range(3000)) if i % 5 == 0 else [i]
+            hit = cache.lookup(f"{tag}{i:04d}", "hilbert", PARAMS)
+            assert hit == {"dims": dims, "i": i}

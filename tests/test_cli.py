@@ -298,6 +298,17 @@ class TestCacheFlow:
         capsys.readouterr()
         assert len((cache_dir / "runs.jsonl").read_text().splitlines()) == 1
 
+    def test_undecodable_cache_line_is_skipped(self, tmp_path, m2_file, capsys):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "runs.jsonl").write_bytes(b"\xff\xfe\n")
+        argv = ["--cache", str(cache_dir), "hilbert", m2_file, "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert len((cache_dir / "runs.jsonl").read_bytes().splitlines()) == 2
+
 
 class TestParsing:
     def test_version(self, capsys):
@@ -320,3 +331,33 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             main(["--max-class-size", "0", "enumerate", "--n", "2", "--count"])
         assert err.value.code == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may leak into the next."""
+
+    def test_usage_error_then_valid_call(self, m2_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["hilbert", m2_file, "--frobnicate"])
+        assert err.value.code == 1
+        capsys.readouterr()
+        assert main(["hilbert", m2_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [1, 2, 2, 0]
+
+    def test_flags_do_not_leak_between_calls(self, m2_file, capsys):
+        assert main(["--max-class-size", "7", "hilbert", m2_file, "--json"]) == 0
+        json.loads(capsys.readouterr().out)
+        assert main(["hilbert", m2_file]) == 0
+        out = capsys.readouterr().out
+        assert "nilpotency index 3, total dimension 5" in out
+        assert not out.lstrip().startswith("{")
+
+    def test_version_after_other_calls(self, m2_file, capsys):
+        assert main(["validate", m2_file]) == 0
+        with pytest.raises(SystemExit):
+            main([])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main(["--version"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.strip() == "0.1.0"
