@@ -7,7 +7,9 @@ the exact parameter set, and the engine version, so changing a cap or
 upgrading the engine re-runs instead of replaying stale results.  The
 file is never rewritten; the last matching line wins, and unreadable
 lines (for example a truncated tail after a crash, or a record whose
-result is not an object) are skipped.
+result is not an object) are skipped.  A store after a torn tail puts a
+newline first, so the torn line stays unreadable on its own and the new
+record is kept.
 
 Each process indexes the file it reads: it keeps the bytes indexed so far
 and the byte span of the winning line per key, and a lookup parses only
@@ -116,9 +118,13 @@ class RunCache:
             sort_keys=True,
             separators=(",", ":"),
         )
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        data = (line + "\n").encode("utf-8")
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            os.write(fd, (line + "\n").encode("utf-8"))
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                data = b"\n" + data  # end a torn tail so it cannot swallow this record
+            os.write(fd, data)
         finally:
             os.close(fd)
         return record

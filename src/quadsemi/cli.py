@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--max-class-size", type=_positive, default=None, metavar="N",
-        help="abort any single coset-class walk beyond N words "
-        f"(default {DEFAULT_LIMITS.max_class_size})",
+        help="largest coset class considered: a class of more than N words "
+        f"makes the answer inconclusive (default {DEFAULT_LIMITS.max_class_size})",
     )
     parser.add_argument(
         "--cache", default=None, metavar="DIR",

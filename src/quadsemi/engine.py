@@ -8,30 +8,37 @@ some member carries a zero monomial as an adjacent factor.  Every nonzero
 class contains a unique member that is least in the right-to-left order,
 its minimal monomial.
 
-Internally letters are bytes (letter i is the byte i) and words are byte
-strings: slicing, substring tests and the reversed-word order key ``w[::-1]``
-all run at C speed.  Every class walk is one depth-first generator,
-``_walk``, which yields the root and then each member in discovery order.
-Callers that take the full closure get the same answer in any order; only
-the first member an early-stopping scan meets (``iter_class``,
-``constructions.power_witness``) depends on it.
+Bases come from a class quotient, never from walking words.  A swap inside
+the first m letters of a degree-(m+1) word only moves its prefix within
+the prefix's degree-m class, so each degree-(m+1) class is a union of
+blocks (degree-m class, last letter), and only a swap at the last position
+joins two blocks.  ``_quotient_step`` joins the blocks with a union-find,
+which gives every class exactly: zero or not, its size, and its minimum.
+The right-to-left order compares last letters first, so the minimum is the
+class minimum one degree down, extended by the least last letter.  This
+needs neither completion nor confluence of the directed rewriting system.
 
-Minimality is decided by walking the whole class, never by greedy directed
-reduction.  The directed rewriting system terminates but nothing guarantees
-confluence, so a greedy normal form could land above the true minimum.
-What stays sound without confluence is factor closure: the right-to-left
-order is multiplicative on words of equal length, so every factor of a
-minimal word is minimal and every factor of a singular word is singular.
-One degree step, ``_next_degree``, therefore extends the kept words of the
-degree below only by letters that leave a kept suffix.
+Tame and singular are properties of class members, so those questions
+still walk classes.  Internally letters are bytes (letter i is the byte i)
+and words are byte strings: slicing, substring tests and the reversed-word
+order key ``w[::-1]`` all run at C speed.  Every class walk is one
+depth-first generator, ``_walk``, which yields the root and then each
+member in discovery order.  Callers that take the full closure get the
+same answer in any order; only the first member an early-stopping scan
+meets (``iter_class``, ``constructions.power_witness``) depends on it.
+Singular words are closed under taking factors (the right-to-left order is
+multiplicative on words of equal length), so one singular-set step,
+``_next_degree``, extends the singular words of the degree below only by
+letters that leave a singular suffix.
 
-Resource caps never silently change an answer.  Hitting max_class_size
-raises ResourceExhausted, and callers report that outcome as inconclusive.
+Resource caps never silently change an answer.  A nonzero class larger
+than max_class_size, or a walk that outgrows it, raises
+ResourceExhausted, and callers report that outcome as inconclusive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -43,7 +50,7 @@ from .model import (
     validate_qhs,
 )
 
-ENGINE_VERSION = "1.0.0"
+ENGINE_VERSION = "1.1.0"
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ DEFAULT_LIMITS = EngineLimits()
 
 
 class ResourceExhausted(RuntimeError):
-    """A class walk outgrew max_class_size; the question stays open."""
+    """A coset class outgrew max_class_size; the question stays open."""
 
     def __init__(self, message: str, word: Word | None = None):
         super().__init__(message)
@@ -95,11 +102,32 @@ class MinimalBasis:
 
     ``singular`` is the subset classified singular; it is only meaningful
     when the basis was computed in WITHOUT_TOP mode and is empty otherwise.
+    ``_classes`` carries the class quotient the next degree is built from;
+    it takes no part in comparison.
     """
 
     degree: int
     minimals: tuple
     singular: tuple
+    _classes: _Classes | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class _Classes:
+    """The nonzero classes of one degree, as blocks of the degree below.
+
+    Class ids follow the right-to-left order of the class minima, so id c
+    is the class of the basis word minimals[c].  ``blocks`` maps each
+    nonzero block, keyed d*n + a for the words u + (a+1) with u in class d
+    one degree down, to the id of its class; a missing block is zero.
+    ``sizes[c]`` is the exact number of words in class c.
+    """
+
+    presentation: Presentation
+    mode: IdealMode
+    degree: int
+    blocks: dict
+    sizes: tuple
 
 
 @dataclass(frozen=True)
@@ -123,15 +151,31 @@ class RegularityResult:
 
 
 class _Rules:
-    """Presentation compiled to byte tables for one ideal mode."""
+    """Presentation compiled to byte tables for one ideal mode.
 
-    __slots__ = ("n", "maxbyte", "swap", "zeros")
+    ``swap`` and ``zeros`` serve class walks.  ``joins`` and ``zero_after``
+    serve the class quotient with letters counted from 0: joins[a] lists
+    (b, ((r0, r1), ...)) for each letter b such that a b swaps to r0 r1,
+    and zero_after[a] the letters b with a b a zero monomial.
+    """
+
+    __slots__ = ("n", "maxbyte", "swap", "zeros", "joins", "zero_after")
 
     def __init__(self, n, maxbyte, swap, zeros):
         self.n = n
         self.maxbyte = maxbyte
         self.swap = swap
         self.zeros = zeros
+        letters = range(n)
+        self.joins = tuple(
+            tuple((b, tuple((r[0] - 1, r[1] - 1) for r in swap[bytes((a + 1, b + 1))]))
+                  for b in letters if bytes((a + 1, b + 1)) in swap)
+            for a in letters
+        )
+        self.zero_after = tuple(
+            tuple(b for b in letters if bytes((a + 1, b + 1)) in zeros)
+            for a in letters
+        )
 
 
 @lru_cache(maxsize=256)
@@ -248,18 +292,17 @@ def _cache_class(known: dict, seen: set, mark: bytes, cand_set: frozenset,
     return memo_room
 
 
-def _probe(w: bytes, rules: _Rules, cap: int, known: dict,
-           want_tame: bool, stop_on_tame: bool):
+def _probe(w: bytes, rules: _Rules, cap: int, known: dict):
     """Classify w by walking its class with early exits.
 
-    Returns (status, tame, seen) with status one of:
+    Returns (status, seen) with status one of:
 
       'zero'          the class is zero; seen words all belong to it
       'nonminimal'    some member precedes w (the class may also be zero,
                       which callers treat the same way: w is not kept)
-      'not_singular'  stop_on_tame only: a tame witness appeared first
-      'minimal'       the class was exhausted, w is its minimum, seen is
-                      the complete class and tame is exact
+      'tame'          a tame witness appeared before either of the above
+      'singular'      the class was exhausted, w is its minimum, no member
+                      is a tame witness, and seen is the complete class
 
     ``known`` carries verdicts from earlier walks of the same degree: the
     empty-bytes mark for members of zero classes, or the class minimum for
@@ -269,26 +312,23 @@ def _probe(w: bytes, rules: _Rules, cap: int, known: dict,
     maxbyte = rules.maxbyte
     wrev = w[::-1]
     m = len(w)
-    tame = False
     seen: set = set()
     for v in _walk(w, rules, cap, seen):
         kn = known.get(v)
         if kn is not None:
             if kn:
-                return "nonminimal", False, None
+                return "nonminimal", None
             seen.add(v)
-            return "zero", False, seen
+            return "zero", seen
         for z in zeros:
             if z in v:
                 seen.add(v)
-                return "zero", False, seen
+                return "zero", seen
         if v[::-1] < wrev:
-            return "nonminimal", False, None
-        if want_tame and not tame and _top_suffix_witness(v, w, m, maxbyte):
-            if stop_on_tame:
-                return "not_singular", True, None
-            tame = True
-    return "minimal", tame, seen
+            return "nonminimal", None
+        if _top_suffix_witness(v, w, m, maxbyte):
+            return "tame", None
+    return "singular", seen
 
 
 def coset_class(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
@@ -361,21 +401,90 @@ def initial_basis(p: Presentation, mode: IdealMode = IdealMode.FULL) -> MinimalB
     n = rules.n
     minimals = tuple((x,) for x in range(1, n + 1))
     singular = tuple((x,) for x in range(1, n)) if mode is IdealMode.WITHOUT_TOP else ()
-    return MinimalBasis(1, minimals, singular)
+    classes = _Classes(p, mode, 1, {a: a for a in range(n)}, (1,) * n)
+    return MinimalBasis(1, minimals, singular, classes)
 
 
-def _next_degree(prev, rules: _Rules, cap: int, want_tame: bool,
-                 stop_on_tame: bool):
-    """Kept words one degree above ``prev``, a factor-closed word set.
+def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
+                   cap: int):
+    """Minimal words and classes one degree above ``classes``.
+
+    Block c*n + b holds the words u + (b+1) with u in class c.  It is zero
+    when a last letter of class c makes a zero monomial with b+1, and it
+    joins block t*n + r1 for every block d*n + a of class c and every swap
+    (a, b) -> (r0, r1), where t is the class of block d*n + r0; a missing
+    t makes it zero.  Zero spreads over its component.  Returns the new
+    rtl-ascending minimal words and their classes; ResourceExhausted when
+    a nonzero class has more than ``cap`` words.
+    """
+    n = rules.n
+    joins = rules.joins
+    zero_after = rules.zero_after
+    blocks = classes.blocks
+    parent = list(range(len(minimals) * n))
+    zero = []
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        return u
+
+    for block, c in blocks.items():
+        a = block % n
+        below = block - a
+        base = c * n
+        for b in zero_after[a]:
+            zero.append(base + b)
+        for b, reps in joins[a]:
+            u = base + b
+            for r0, r1 in reps:
+                t = blocks.get(below + r0)
+                if t is None:
+                    zero.append(u)
+                    continue
+                ru = find(u)
+                rv = find(t * n + r1)
+                if ru != rv:
+                    parent[rv] = ru
+    dead = {find(u) for u in zero}
+    # scanning blocks by last letter, then by class, meets each class first
+    # at its minimum and the classes in rtl order of their minima
+    ids: dict = {}
+    new_min = []
+    new_size = []
+    new_blocks = {}
+    sizes = classes.sizes
+    for b in range(n):
+        letter = (b + 1,)
+        for c in range(len(minimals)):
+            u = c * n + b
+            r = find(u)
+            if r in dead:
+                continue
+            k = ids.get(r)
+            if k is None:
+                k = ids[r] = len(new_min)
+                new_min.append(minimals[c] + letter)
+                new_size.append(sizes[c])
+            else:
+                new_size[k] += sizes[c]
+            new_blocks[u] = k
+    for k, size in enumerate(new_size):
+        if size > cap:
+            raise _exhausted(bytes(new_min[k]), cap)
+    return tuple(new_min), _Classes(classes.presentation, classes.mode,
+                                    classes.degree + 1, new_blocks, tuple(new_size))
+
+
+def _next_degree(prev, rules: _Rules, cap: int):
+    """Singular words one degree above the singular words ``prev``.
 
     Candidates are the extensions u + x of words in ``prev`` whose suffix
-    u[1:] + x is in ``prev`` too; for minimal and for singular words that
-    is every word that can survive.  Candidates are walked in ascending
-    order, and once a class has been enumerated every other candidate
-    inside it is settled by table lookup.  Returns (kept, singular) as
-    rtl-ascending byte words: kept are the minima of their own nonzero
-    classes, singular the kept words with no tame witness (only computed
-    with want_tame; with stop_on_tame a tame word is not kept at all).
+    u[1:] + x is in ``prev`` too; every factor of a singular word is
+    singular, so no other word can survive.  Candidates are walked in
+    ascending order, and once a class has been enumerated every other
+    candidate inside it is settled by table lookup.  Returns the singular
+    words as rtl-ascending byte words.
     """
     letters = [bytes([x]) for x in range(1, rules.n + 1)]
     prev_set = set(prev)
@@ -384,20 +493,17 @@ def _next_degree(prev, rules: _Rules, cap: int, want_tame: bool,
     cand_set = frozenset(cands)
     known: dict = {}
     memo_room = _MEMO_WORD_BUDGET
-    keep = []
     sing = []
     for c in cands:
         if c in known:
             continue
-        status, tame, seen = _probe(c, rules, cap, known, want_tame, stop_on_tame)
+        status, seen = _probe(c, rules, cap, known)
         if status == "zero":
             memo_room = _cache_class(known, seen, _ZERO_MARK, cand_set, memo_room)
-        elif status == "minimal":
-            keep.append(c)
-            if want_tame and not tame:
-                sing.append(c)
+        elif status == "singular":
+            sing.append(c)
             memo_room = _cache_class(known, seen, c, cand_set, memo_room)
-    return keep, sing
+    return sing
 
 
 def next_minimal_basis(basis: MinimalBasis, p: Presentation,
@@ -405,21 +511,27 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
                        limits: EngineLimits = DEFAULT_LIMITS) -> MinimalBasis:
     """Minimal monomials one degree up from a complete minimal basis.
 
-    A word is kept exactly when it is the minimum of its own nonzero class.
-    Every factor of a minimal word is minimal, so the candidates are the
-    one-letter extensions of the given minimals whose length-k suffix is
-    one of them too; that candidate set is complete.
+    The class quotient carried by ``basis`` gives the next degree's
+    classes without walking them; a basis that carries none, or one built
+    for another presentation or mode, has its quotient rebuilt from degree
+    1.  In WITHOUT_TOP mode each new minimal word's class is then walked
+    until a tame witness shows, to fill in ``singular``.
     """
     rules = _rules(p, mode)
-    keep, sing = _next_degree(
-        [bytes(u) for u in basis.minimals], rules, limits.max_class_size,
-        mode is IdealMode.WITHOUT_TOP, False,
-    )
-    return MinimalBasis(
-        basis.degree + 1,
-        tuple(map(tuple, keep)),
-        tuple(map(tuple, sing)),
-    )
+    cap = limits.max_class_size
+    minimals, classes = basis.minimals, basis._classes
+    if (classes is None or classes.degree != basis.degree
+            or classes.mode is not mode or classes.presentation != p):
+        start = initial_basis(p, mode)
+        minimals, classes = start.minimals, start._classes
+        while classes.degree < basis.degree:
+            minimals, classes = _quotient_step(minimals, classes, rules, cap)
+    minimals, classes = _quotient_step(minimals, classes, rules, cap)
+    singular = ()
+    if mode is IdealMode.WITHOUT_TOP:
+        singular = tuple(w for w in minimals
+                         if _probe(bytes(w), rules, cap, {})[0] == "singular")
+    return MinimalBasis(basis.degree + 1, minimals, singular, classes)
 
 
 def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
@@ -441,7 +553,7 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     degree = 1
     while sing and degree < limits.max_degree:
         degree += 1
-        sing, _ = _next_degree(sing, rules, cap, True, True)
+        sing = _next_degree(sing, rules, cap)
         yield degree, tuple(map(tuple, sing))
 
 

@@ -31,6 +31,8 @@ N5_DIMS = (1, 5, 17, 45, 90, 123, 109, 69, 34, 12, 2, 0)
 N6_REGULARITY = 14
 N6_DIMS = (1, 6, 25, 84, 230, 487, 775, 931, 861, 638, 388, 192, 73, 18, 2, 0)
 N7_REGULARITY = 18
+N7_DIMS = (1, 7, 34, 134, 439, 1192, 2639, 4705, 6746, 7838, 7506, 6026, 4100, 2368,
+           1149, 461, 148, 34, 4, 0)
 # n=8 singular-set sizes by degree, as far as the first oracle run reached
 N8_SINGULAR_SIZES = (7, 37, 163, 610, 1919, 5028, 10847, 19234, 28173, 34532, 35962, 32232)
 
@@ -90,9 +92,14 @@ def test_criterion_04b_tower6_finite():
 
 
 def test_criterion_04c_tower7_best_effort():
-    result = regularity_degree(build_regular_qhs(7), EngineLimits(max_degree=64))
+    p = build_regular_qhs(7)
+    result = regularity_degree(p, EngineLimits(max_degree=64))
     assert result.status == "regular"
     assert result.degree == N7_REGULARITY
+    profile = hilbert_profile(p, max_degree=64)
+    assert profile.dims == N7_DIMS
+    assert profile.nilpotency_index == 19
+    assert profile.nilpotency_index <= result.degree + 1
 
 
 def test_criterion_04d_tower8_best_effort():

@@ -9,7 +9,7 @@ from quadsemi.analysis import (
     profile_to_json,
     total_dimension,
 )
-from quadsemi.engine import EngineLimits, ResourceExhausted
+from quadsemi.engine import EngineLimits, ResourceExhausted, coset_class, iter_class
 from quadsemi.model import IdealMode, Relation, presentation
 
 FREE2 = presentation(2, [])
@@ -59,6 +59,28 @@ class TestProfiles:
         assert profile.exhausted is not None
         assert profile.verdict == f"inconclusive:{profile.exhausted}"
         assert total_dimension(profile) is None
+
+    def test_exhaustion_at_the_first_class_past_the_cap(self):
+        # commuting letters: a degree-m class holds the C(m, k) arrangements
+        # of k ones, so the largest classes are C(6, 3) = 20, C(7, 3) = 35
+        # and C(8, 4) = 70 at degrees 6, 7 and 8
+        profile = hilbert_profile(COMMUTE2, 12, limits=EngineLimits(max_class_size=30))
+        assert profile.exhausted == 7
+        assert profile.dims == (1, 2, 3, 4, 5, 6, 7)
+        profile = hilbert_profile(COMMUTE2, 12, limits=EngineLimits(max_class_size=35))
+        assert profile.exhausted == 8
+        assert profile.dims == (1, 2, 3, 4, 5, 6, 7, 8)
+
+    def test_zero_classes_are_not_sized(self):
+        # every nonzero class up to degree 7 has at most 7 words, but the
+        # zero class of x1x2x1x2x1x2x2 has 12
+        p = presentation(3, [Relation.zero(2, 1), Relation.equal((1, 2), (3, 1))])
+        word = (1, 2, 1, 2, 1, 2, 2)
+        assert coset_class(word, p).is_zero
+        assert sum(1 for _ in iter_class(word, p)) == 12
+        profile = hilbert_profile(p, 7, limits=EngineLimits(max_class_size=7))
+        assert profile.truncated_at == 7
+        assert profile.dims == (1, 3, 7, 15, 31, 63, 127, 255)
 
     def test_zero_tail_and_branching_bound(self, m3, m4):
         for p in (m3, m4):

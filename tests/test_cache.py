@@ -154,12 +154,16 @@ def test_torn_tail_is_not_indexed(tmp_path):
     cache.path.write_bytes(whole + torn)
     assert cache.lookup(HASH, "regularity", PARAMS) is None
     assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
-    # the torn half and the next record become one unreadable line
+    # the next store ends the torn line first, so its own record is served
     cache.store(HASH, "regularity", PARAMS, {"degree": 5}, 0.0)
+    assert cache.lookup(HASH, "regularity", PARAMS) == {"degree": 5}
+    lines = cache.path.read_bytes().splitlines()
+    assert len(lines) == 3
+    assert lines[1] == torn
+    # the torn half stays unserved, also by an index rebuilt from scratch
+    cache.path.write_bytes(b"\n".join(lines[:2]) + b"\n")
     assert cache.lookup(HASH, "regularity", PARAMS) is None
-    assert len(cache.path.read_bytes().splitlines()) == 2
-    cache.store(HASH, "regularity", PARAMS, {"degree": 6}, 0.0)
-    assert cache.lookup(HASH, "regularity", PARAMS) == {"degree": 6}
+    assert cache.lookup(HASH, "hilbert", PARAMS) == RESULT
 
 
 def test_deleted_file_misses(tmp_path):

@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from quadsemi.analysis import hilbert_profile
 from quadsemi.census import (
+    CENSUS_LIMITS,
     census_csv,
     census_records,
     certificate_sweep,
@@ -13,6 +18,8 @@ from quadsemi.model import lower_pairs, qhs_cardinality_bounds, validate_qhs
 
 from small_qhs import qhs_census
 
+N5_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census_n5.json"
+
 
 class TestQhsEnumeration:
     def test_counts(self):
@@ -24,6 +31,22 @@ class TestQhsEnumeration:
     @pytest.mark.slow
     def test_count_n5(self):
         assert sum(1 for _ in enumerate_qhs(5)) == 37611
+
+    @pytest.mark.slow
+    def test_n5_hilbert_verdicts_match_table(self):
+        # the benchmark's census table, computed by whole-class walks: one
+        # verdict code per presentation, presentations in content order
+        table = json.loads(N5_TABLE.read_text())
+        codes = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        expected = [table["verdicts"][codes.index(c)].split("/")[1]
+                    for c in table["verdict_codes"]]
+        ranked = sorted(enumerate_qhs(5), key=lambda p: tuple(
+            (r.left, r.right or (0, 0)) for r in p.relations))
+        assert len(ranked) == len(expected) == 37611
+        limits = CENSUS_LIMITS
+        for i, p in enumerate(ranked):
+            profile = hilbert_profile(p, limits.max_degree, limits=limits)
+            assert profile.verdict == expected[i], (i, p)
 
     def test_all_valid_and_distinct(self):
         for n in (1, 2, 3):

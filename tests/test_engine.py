@@ -3,6 +3,7 @@ import pytest
 from quadsemi.engine import (
     Classification,
     EngineLimits,
+    MinimalBasis,
     ResourceExhausted,
     classify,
     coset_class,
@@ -15,6 +16,8 @@ from quadsemi.engine import (
     singular_monomials,
 )
 from quadsemi.model import IdealMode, Relation, presentation
+
+from small_qhs import qhs_census
 
 FULL = IdealMode.FULL
 REDUCED = IdealMode.WITHOUT_TOP
@@ -187,6 +190,34 @@ class TestBases:
         assert keys == sorted(keys)
         for w in basis.minimals:
             assert minimal_monomial(w, tower5, REDUCED) == w
+
+    def test_class_sizes_match_walks(self):
+        for n in (1, 2, 3):
+            for p in qhs_census(n):
+                for mode in (FULL, REDUCED):
+                    basis = initial_basis(p, mode)
+                    for _ in range(5):
+                        basis = next_minimal_basis(basis, p, mode)
+                        sizes = basis._classes.sizes
+                        assert len(sizes) == len(basis.minimals)
+                        for w, size in zip(basis.minimals, sizes):
+                            assert size == len(coset_class(w, p, mode).members), (p, mode, w)
+
+    def test_basis_without_classes_is_rebuilt(self, tower5):
+        basis = initial_basis(tower5, REDUCED)
+        for _ in range(3):
+            basis = next_minimal_basis(basis, tower5, REDUCED)
+        bare = MinimalBasis(basis.degree, basis.minimals, basis.singular)
+        assert bare == basis
+        assert next_minimal_basis(bare, tower5, REDUCED) == next_minimal_basis(
+            basis, tower5, REDUCED)
+
+    def test_basis_of_another_mode_is_rebuilt(self, m2):
+        full = next_minimal_basis(initial_basis(m2, FULL), m2, FULL)
+        reduced = next_minimal_basis(initial_basis(m2, REDUCED), m2, REDUCED)
+        assert full.minimals != reduced.minimals
+        rebuilt = next_minimal_basis(full, m2, REDUCED)
+        assert rebuilt.minimals == next_minimal_basis(reduced, m2, REDUCED).minimals
 
 
 class TestSingularIteration:
