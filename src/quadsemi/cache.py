@@ -9,7 +9,9 @@ file is never rewritten; the last matching line wins, and unreadable
 lines (for example a truncated tail after a crash, or a record whose
 result is not an object) are skipped.  A store after a torn tail puts a
 newline first, so the torn line stays unreadable on its own and the new
-record is kept.
+record is kept.  A store holds an exclusive ``flock`` on the file while it
+checks the tail and appends, so another writer's append still in flight
+is never taken for a torn tail.
 
 Each process indexes the file it reads: it keeps the bytes indexed so far
 and the byte span of the winning line per key, and a lookup parses only
@@ -19,6 +21,7 @@ indexed bytes (truncated, rewritten or replaced), the index is rebuilt.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -121,6 +124,8 @@ class RunCache:
         data = (line + "\n").encode("utf-8")
         fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
+            # another writer's append in flight would look like a torn tail
+            fcntl.flock(fd, fcntl.LOCK_EX)
             size = os.fstat(fd).st_size
             if size and os.pread(fd, 1, size - 1) != b"\n":
                 data = b"\n" + data  # end a torn tail so it cannot swallow this record

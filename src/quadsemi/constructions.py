@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DEFAULT_LIMITS, EngineLimits, _rules, _walk
+from .engine import DEFAULT_LIMITS, EngineLimits, _block_walk, _rules
 from .model import (
     IdealMode,
     Presentation,
@@ -154,7 +154,8 @@ def power_witness(p: Presentation, q: int | None = None,
     if q < 1:
         raise ValueError("the power must be at least 1")
     rules = _rules(p, IdealMode.WITHOUT_TOP)
-    for member in _walk(bytes((1,)) * q, rules, limits.max_class_size, set()):
+    cap = limits.max_class_size
+    for member in _block_walk(bytes((1,)) * q, rules, cap, {}, set(), {}):
         if member[-1] == n:
             return tuple(member)
     return None

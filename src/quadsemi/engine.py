@@ -22,18 +22,36 @@ Tame and singular are properties of class members, so those questions
 still walk classes.  Internally letters are bytes (letter i is the byte i)
 and words are byte strings: slicing, substring tests and the reversed-word
 order key ``w[::-1]`` all run at C speed.  Every class walk is one
-depth-first generator, ``_walk``, which yields the root and then each
-member in discovery order.  Callers that take the full closure get the
-same answer in any order; only the first member an early-stopping scan
-meets (``iter_class``, ``constructions.power_witness``) depends on it.
-Singular words are closed under taking factors (the right-to-left order is
-multiplicative on words of equal length), so one singular-set step,
-``_next_degree``, extends the singular words of the degree below only by
-letters that leave a singular suffix.
+depth-first generator, ``_block_walk``; given no classes one degree down
+it yields the root and then each member in discovery order.  Callers that
+take the full closure get the same answer in any order; only the first
+member an early-stopping scan meets (``iter_class``,
+``constructions.power_witness``) depends on it.
+
+Singular sets are found degree by degree with the same blocks.  Singular
+words are closed under taking factors (the right-to-left order is
+multiplicative on words of equal length), so the candidates of one degree
+are the singular words below extended by a letter that leaves a singular
+suffix, and every candidate's prefix lies in a singular class of the
+degree below, which that degree walked to the end.  The singular-set step
+keeps those classes as the blocks and words its walks met, spells out the
+members of the ones that hold a next-degree candidate's prefix, and the
+walk, given them, meets each block (singular class below, last letter)
+once, as a unit: only a swap at the last position leaves a block, and
+whether a block is zero, precedes the candidate or holds a tame witness
+follows from its letter and its class's minimum and last letters.  Only
+a block with the candidate's last letter, from a class other than the
+candidate prefix's, has its words checked one by one for a tame witness.
+Words whose prefix lies in no class handed on are walked one by one.
 
 Resource caps never silently change an answer.  A nonzero class larger
 than max_class_size, or a walk that outgrows it, raises
-ResourceExhausted, and callers report that outcome as inconclusive.
+ResourceExhausted, and callers report that outcome as inconclusive.  In
+the singular-set step the cap counts the words a walk visits one by one,
+not the blocks it meets whole, and a class found singular still raises
+when it has more words than the cap.  A walk that meets the cap is
+repeated word by word before the cap is reported, because blocks change
+the order in which a class is met.
 """
 
 from __future__ import annotations
@@ -50,7 +68,7 @@ from .model import (
     validate_qhs,
 )
 
-ENGINE_VERSION = "1.1.0"
+ENGINE_VERSION = "1.2.0"
 
 
 @dataclass(frozen=True)
@@ -71,9 +89,11 @@ DEFAULT_LIMITS = EngineLimits()
 class ResourceExhausted(RuntimeError):
     """A coset class outgrew max_class_size; the question stays open."""
 
-    def __init__(self, message: str, word: Word | None = None):
+    def __init__(self, message: str, word: Word | None = None,
+                 degree: int | None = None):
         super().__init__(message)
         self.word = word
+        self.degree = degree
 
 
 class Classification(Enum):
@@ -153,19 +173,23 @@ class RegularityResult:
 class _Rules:
     """Presentation compiled to byte tables for one ideal mode.
 
-    ``swap`` and ``zeros`` serve class walks.  ``joins`` and ``zero_after``
-    serve the class quotient with letters counted from 0: joins[a] lists
-    (b, ((r0, r1), ...)) for each letter b such that a b swaps to r0 r1,
-    and zero_after[a] the letters b with a b a zero monomial.
+    ``swap`` and ``zeros`` serve class walks, and zero_before[b] holds the
+    letters a with a b a zero monomial (as byte values) for block walks.
+    ``joins`` and ``zero_after`` serve the class quotient with letters
+    counted from 0: joins[a] lists (b, ((r0, r1), ...)) for each letter b
+    such that a b swaps to r0 r1, and zero_after[a] the letters b with a b
+    a zero monomial.
     """
 
-    __slots__ = ("n", "maxbyte", "swap", "zeros", "joins", "zero_after")
+    __slots__ = ("n", "maxbyte", "swap", "zeros", "zero_before", "joins", "zero_after")
 
     def __init__(self, n, maxbyte, swap, zeros):
         self.n = n
         self.maxbyte = maxbyte
         self.swap = swap
         self.zeros = zeros
+        self.zero_before = tuple(frozenset(z[0] for z in zeros if z[1] == b)
+                                 for b in range(n + 1))
         letters = range(n)
         self.joins = tuple(
             tuple((b, tuple((r[0] - 1, r[1] - 1) for r in swap[bytes((a + 1, b + 1))]))
@@ -222,38 +246,8 @@ def _exhausted(w: bytes, cap: int) -> ResourceExhausted:
     return ResourceExhausted(
         f"coset class of {monomial_str(tuple(w))} exceeded {cap} members",
         word=tuple(w),
+        degree=len(w),
     )
-
-
-def _walk(w: bytes, rules: _Rules, cap: int, seen: set):
-    """Yield w, then each new member of its swap closure in discovery order.
-
-    A member is yielded before it joins ``seen``, so a consumer that stops
-    at one decides whether to record it.  ResourceExhausted is raised only
-    when a member would take ``seen`` past ``cap``.  A walk run to the end
-    leaves the whole class in ``seen``.
-    """
-    swap = rules.swap
-    yield w
-    seen.add(w)
-    stack = [w]
-    while stack:
-        v = stack.pop()
-        for i in range(len(v) - 1):
-            reps = swap.get(v[i:i + 2])
-            if reps is None:
-                continue
-            head = v[:i]
-            tail = v[i + 2:]
-            for r in reps:
-                nb = head + r + tail
-                if nb in seen:
-                    continue
-                yield nb
-                if len(seen) >= cap:
-                    raise _exhausted(w, cap)
-                seen.add(nb)
-                stack.append(nb)
 
 
 def _top_suffix_witness(v: bytes, w: bytes, m: int, maxbyte: int) -> bool:
@@ -269,66 +263,241 @@ def _top_suffix_witness(v: bytes, w: bytes, m: int, maxbyte: int) -> bool:
     return maxbyte in v[start:]
 
 
-_ZERO_MARK = b""
-
-# Per-degree budget of words whose class verdicts are memoized beyond the
-# candidates themselves.  Within the budget whole classes are cached and
-# sibling candidates settle by lookup; past it only candidate words are
-# cached and the rest settle through the in-walk order comparison, which
-# is slower but needs no extra memory.
+# Budget of words the singular-set steps keep at once: the singular
+# classes handed down from the degree below, and what the current step
+# keeps, namely members of zero classes, so that sibling candidates settle
+# by lookup, and the members of singular classes for the next degree.  A
+# class past the budget is not kept; its candidates are still cached, and
+# its extensions are walked word by word one degree up.
 _MEMO_WORD_BUDGET = 2_000_000
 
-
-def _cache_class(known: dict, seen: set, mark: bytes, cand_set: frozenset,
-                 memo_room: int) -> int:
-    """Record one walked class's verdict; returns the remaining budget."""
-    if len(seen) <= memo_room:
-        for v in seen:
-            known[v] = mark
-        return memo_room - len(seen)
-    for v in seen:
-        if v in cand_set:
-            known[v] = mark
-    return memo_room
+_LETTERS = tuple(bytes((x,)) for x in range(256))
+_ZERO_MARK = b""
 
 
-def _probe(w: bytes, rules: _Rules, cap: int, known: dict):
-    """Classify w by walking its class with early exits.
+def _block_walk(c: bytes, rules: _Rules, cap: int, below: dict, seen: set,
+                blocks: dict):
+    """Yield the class of c in discovery order, as blocks and single words.
 
-    Returns (status, seen) with status one of:
+    ``below`` maps each member of a known class one degree down to that
+    class, a tuple (key, minimum, members by last letter, size) with key
+    a multiple of 256.  A word u + x with u in such a class is never
+    yielded alone: its block, the pair (class, x) under the key class
+    key + x, is yielded once.  Swaps inside a block only move u within its
+    class, so a block is left only by a swap at the last position.  Other
+    words are yielded one by one, each before it joins ``seen`` (a block
+    joins ``blocks`` after it is yielded).  ResourceExhausted is raised
+    only when a word walked alone would take ``seen`` past ``cap``; block
+    members are never counted here.
+    """
+    swap = rules.swap
+    letter = _LETTERS
+    home = below.get(c[:-1])
+    if home is None:
+        yield c
+        seen.add(c)
+        stack = [c]
+    else:
+        root = (home, c[-1])
+        yield root
+        blocks[home[0] + c[-1]] = root
+        stack = [root]
+    inner = len(c) - 2
+    while stack:
+        item = stack.pop()
+        if item.__class__ is bytes:
+            for i in range(inner):
+                reps = swap.get(item[i:i + 2])
+                if reps is None:
+                    continue
+                head = item[:i]
+                tail = item[i + 2:]
+                for r in reps:
+                    # a swap inside the prefix keeps it in its (unknown) class
+                    nb = head + r + tail
+                    if nb in seen:
+                        continue
+                    yield nb
+                    if len(seen) >= cap:
+                        raise _exhausted(c, cap)
+                    seen.add(nb)
+                    stack.append(nb)
+            reps = swap.get(item[inner:])
+            if reps is None:
+                continue
+            head = item[:inner]
+            exits = [head + r for r in reps]
+        else:
+            cls, b = item
+            exits = []
+            for e, words in cls[2].items():
+                reps = swap.get(letter[e] + letter[b])
+                if reps is not None:
+                    exits += [d[:-1] + r for d in words for r in reps]
+        for nb in exits:
+            cls = below.get(nb[:-1]) if below else None
+            if cls is None:
+                if nb in seen:
+                    continue
+                yield nb
+                if len(seen) >= cap:
+                    raise _exhausted(c, cap)
+                seen.add(nb)
+                stack.append(nb)
+            else:
+                key = cls[0] + nb[-1]
+                if key in blocks:
+                    continue
+                block = (cls, nb[-1])
+                yield block
+                blocks[key] = block
+                stack.append(block)
 
-      'zero'          the class is zero; seen words all belong to it
-      'nonminimal'    some member precedes w (the class may also be zero,
-                      which callers treat the same way: w is not kept)
-      'tame'          a tame witness appeared before either of the above
-      'singular'      the class was exhausted, w is its minimum, no member
-                      is a tame witness, and seen is the complete class
 
-    ``known`` carries verdicts from earlier walks of the same degree: the
-    empty-bytes mark for members of zero classes, or the class minimum for
-    fully enumerated classes.  Touching a known word settles w at once.
+def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
+    """Walk the class of c until it shows whether c is singular.
+
+    Returns (mark, seen, blocks) with ``seen`` and ``blocks`` as
+    ``_block_walk`` left them and mark one of:
+
+      None      the walk ended: c is the class minimum and no member is a
+                tame witness, so c is singular
+      b""       the class is zero; seen and blocks belong to it
+      a word    c is not singular: some member precedes c or is a tame
+                witness, or the class was settled by an earlier walk
+
+    ``known`` maps words and block keys met by earlier walks of the same
+    degree to b"" (zero class) or to their class minimum.  A block is
+    settled without visiting its members: it is zero when a last letter of
+    its class makes a zero monomial with its letter; its least word is the
+    class minimum extended by its letter; and it holds a tame witness when
+    its letter is the top letter, or when its letter is c's, its class is
+    not the class of c's prefix (which is singular), and some member of
+    its class is a tame witness for that prefix.
     """
     zeros = rules.zeros
-    maxbyte = rules.maxbyte
-    wrev = w[::-1]
-    m = len(w)
+    top = rules.maxbyte
+    zero_before = rules.zero_before
+    u = c[:-1]
+    last = c[-1]
+    home = below.get(u)
+    m = len(u)
+    crev = c[::-1]
+    urev = crev[1:]
     seen: set = set()
-    for v in _walk(w, rules, cap, seen):
-        kn = known.get(v)
-        if kn is not None:
-            if kn:
-                return "nonminimal", None
-            seen.add(v)
-            return "zero", seen
-        for z in zeros:
-            if z in v:
-                seen.add(v)
-                return "zero", seen
-        if v[::-1] < wrev:
-            return "nonminimal", None
-        if _top_suffix_witness(v, w, m, maxbyte):
-            return "tame", None
-    return "singular", seen
+    blocks: dict = {}
+    for item in _block_walk(c, rules, cap, below, seen, blocks):
+        if item.__class__ is bytes:
+            mark = known.get(item)
+            if mark is not None:
+                return mark, seen, blocks
+            for z in zeros:
+                if z in item:
+                    seen.add(item)
+                    return _ZERO_MARK, seen, blocks
+            if item[::-1] < crev or _top_suffix_witness(item, c, m + 1, top):
+                return c, seen, blocks
+        else:
+            cls, b = item
+            mark = known.get(cls[0] + b)
+            if mark is not None:
+                return mark, seen, blocks
+            if not zero_before[b].isdisjoint(cls[2]):
+                blocks[cls[0] + b] = item
+                return _ZERO_MARK, seen, blocks
+            if b < last or b == top:
+                return c, seen, blocks
+            if b == last and (cls[1][::-1] < urev or cls is not home and any(
+                    _top_suffix_witness(d, u, m, top)
+                    for words in cls[2].values() for d in words)):
+                return c, seen, blocks
+    return None, seen, blocks
+
+
+def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
+    """Singular words among ``cands``, and their classes for the next degree.
+
+    ``cands`` are words of one degree in rtl-ascending order and ``below``
+    holds the known classes one degree down (see ``_block_walk``); with
+    none known every class is walked word by word.  A class settled as
+    zero or singular settles every later candidate that its walk met.  A
+    walk that meets the cap is repeated word by word before the cap is
+    reported: blocks change the order in which a class is met, and the
+    word walk may reach an exit within the cap first.  A class walked to
+    the end with more than ``cap`` words raises ResourceExhausted, however
+    few of them were walked one by one.
+
+    Returns the singular words, rtl-ascending, and the list of their
+    classes that were kept, each as (key, minimum, words walked one by one,
+    blocks, size) for ``_hand_down``.  The words kept, counted by class
+    size, together with those of ``below``, stay within
+    ``_MEMO_WORD_BUDGET``.
+    """
+    cand_set = frozenset(cands)
+    known: dict = {}
+    room = _MEMO_WORD_BUDGET - len(below)
+    sing = []
+    kept = []
+    for c in cands:
+        home = below.get(c[:-1])
+        if (c if home is None else home[0] + c[-1]) in known:
+            continue
+        try:
+            mark, seen, blocks = _settle(c, rules, cap, below, known)
+        except ResourceExhausted:
+            if not below:
+                raise
+            mark, seen, blocks = _settle(c, rules, cap, {}, known)
+        if mark is None:
+            size = len(seen) + sum(cls[3] for cls, _b in blocks.values())
+            if size > cap:
+                raise _exhausted(c, cap)
+            for key in blocks:
+                known[key] = c
+            for v in seen:
+                if v in cand_set:
+                    known[v] = c
+            if size <= room:
+                room -= size
+                kept.append((len(sing) << 8, c, tuple(seen), blocks, size))
+            sing.append(c)
+        elif not mark:
+            for key in blocks:
+                known[key] = _ZERO_MARK
+            if len(seen) <= room:
+                room -= len(seen)
+                for v in seen:
+                    known[v] = _ZERO_MARK
+            else:
+                for v in seen:
+                    if v in cand_set:
+                        known[v] = _ZERO_MARK
+    return sing, kept
+
+
+def _hand_down(kept: list, heads: set) -> dict:
+    """Map each member of the kept classes whose minimum is in ``heads`` to its class.
+
+    ``kept`` holds (key, minimum, single words, blocks, size) as the step
+    left them; a class is spelled out into its members here, once.
+    """
+    letter = _LETTERS
+    below = {}
+    for key, c, seen, blocks, size in kept:
+        if c not in heads:
+            continue
+        members: dict = {}
+        for cls, b in blocks.values():
+            tail = letter[b]
+            members.setdefault(b, []).extend(
+                d + tail for words in cls[2].values() for d in words)
+        for v in seen:
+            members.setdefault(v[-1], []).append(v)
+        cls = (key, c, members, size)
+        for words in members.values():
+            for v in words:
+                below[v] = cls
+    return below
 
 
 def coset_class(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
@@ -338,7 +507,7 @@ def coset_class(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
     rules = _rules(p, mode)
     zeros = rules.zeros
     seen: set = set()
-    for v in _walk(w, rules, limits.max_class_size, seen):
+    for v in _block_walk(w, rules, limits.max_class_size, {}, seen, {}):
         for z in zeros:
             if z in v:
                 return CosetClass(len(w), None, None)
@@ -365,7 +534,8 @@ def iter_class(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
     words.  Raises ResourceExhausted past the class-size cap.
     """
     w = _encode_word(word, p)
-    for v in _walk(w, _rules(p, mode), limits.max_class_size, set()):
+    rules = _rules(p, mode)
+    for v in _block_walk(w, rules, limits.max_class_size, {}, set(), {}):
         yield tuple(v)
 
 
@@ -476,36 +646,6 @@ def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
                                     classes.degree + 1, new_blocks, tuple(new_size))
 
 
-def _next_degree(prev, rules: _Rules, cap: int):
-    """Singular words one degree above the singular words ``prev``.
-
-    Candidates are the extensions u + x of words in ``prev`` whose suffix
-    u[1:] + x is in ``prev`` too; every factor of a singular word is
-    singular, so no other word can survive.  Candidates are walked in
-    ascending order, and once a class has been enumerated every other
-    candidate inside it is settled by table lookup.  Returns the singular
-    words as rtl-ascending byte words.
-    """
-    letters = [bytes([x]) for x in range(1, rules.n + 1)]
-    prev_set = set(prev)
-    cands = [u + x for u in prev for x in letters if u[1:] + x in prev_set]
-    cands.sort(key=_rev)
-    cand_set = frozenset(cands)
-    known: dict = {}
-    memo_room = _MEMO_WORD_BUDGET
-    sing = []
-    for c in cands:
-        if c in known:
-            continue
-        status, seen = _probe(c, rules, cap, known)
-        if status == "zero":
-            memo_room = _cache_class(known, seen, _ZERO_MARK, cand_set, memo_room)
-        elif status == "singular":
-            sing.append(c)
-            memo_room = _cache_class(known, seen, c, cand_set, memo_room)
-    return sing
-
-
 def next_minimal_basis(basis: MinimalBasis, p: Presentation,
                        mode: IdealMode = IdealMode.FULL,
                        limits: EngineLimits = DEFAULT_LIMITS) -> MinimalBasis:
@@ -514,8 +654,9 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
     The class quotient carried by ``basis`` gives the next degree's
     classes without walking them; a basis that carries none, or one built
     for another presentation or mode, has its quotient rebuilt from degree
-    1.  In WITHOUT_TOP mode each new minimal word's class is then walked
-    until a tame witness shows, to fill in ``singular``.
+    1.  In WITHOUT_TOP mode ``singular`` is filled by walking each new
+    minimal word's class word by word (``_settle`` with no classes known)
+    until a tame witness shows.
     """
     rules = _rules(p, mode)
     cap = limits.max_class_size
@@ -529,8 +670,9 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
     minimals, classes = _quotient_step(minimals, classes, rules, cap)
     singular = ()
     if mode is IdealMode.WITHOUT_TOP:
+        # with no classes known every member is walked, so the cap holds
         singular = tuple(w for w in minimals
-                         if _probe(bytes(w), rules, cap, {})[0] == "singular")
+                         if _settle(bytes(w), rules, cap, {}, {})[0] is None)
     return MinimalBasis(basis.degree + 1, minimals, singular, classes)
 
 
@@ -540,20 +682,34 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     Factors of singular words are singular, so degree k+1 candidates are
     the extensions u + x of degree-k singular words whose length-k suffix
     is singular too, and the iteration may stop at the first empty degree:
-    every later degree is empty as well.  Runs until the set empties or
-    limits.max_degree is reached.  Requires a valid QHS.
+    every later degree is empty as well.  Each degree's singular classes
+    that hold a candidate's prefix are handed to the next, which walks them
+    as blocks.  Runs until the set empties or limits.max_degree is reached.
+    Requires a valid QHS.
     """
     report = validate_qhs(p)
     if not report.valid:
         raise ValueError("singular sets are defined for valid QHS presentations only")
     rules = _rules(p, IdealMode.WITHOUT_TOP)
     cap = limits.max_class_size
-    sing = [bytes([x]) for x in range(1, rules.n)]
+    letters = _LETTERS[1:rules.n + 1]
+    sing = list(letters[:-1])
+    # each singular letter is a class of its own
+    kept = [(k << 8, w, (w,), {}, 1) for k, w in enumerate(sing[:_MEMO_WORD_BUDGET])]
     yield 1, tuple(map(tuple, sing))
     degree = 1
     while sing and degree < limits.max_degree:
         degree += 1
-        sing = _next_degree(sing, rules, cap)
+        prev = set(sing)
+        cands = [u + x for u in sing for x in letters if u[1:] + x in prev]
+        cands.sort(key=_rev)
+        # only classes holding a candidate's prefix are handed on: the rest
+        # (about 70% of the words on tower n=7) would only be met from other
+        # classes, and their words are walked one by one instead
+        below = None  # free the old map before the new one is built
+        below = _hand_down(kept, {c[:-1] for c in cands})
+        del kept
+        sing, kept = _singular_step(cands, rules, cap, below)
         yield degree, tuple(map(tuple, sing))
 
 

@@ -24,6 +24,7 @@ from quadsemi.engine import (
     singular_monomials,
 )
 from quadsemi.model import IdealMode, delta, is_pure, pair_key, presentation, validate_qhs
+from quadsemi.textio import parse_presentation
 
 # regression baselines from the first verified runs of this package
 N5_REGULARITY = 10
@@ -35,6 +36,25 @@ N7_DIMS = (1, 7, 34, 134, 439, 1192, 2639, 4705, 6746, 7838, 7506, 6026, 4100, 2
            1149, 461, 148, 34, 4, 0)
 # n=8 singular-set sizes by degree, as far as the first oracle run reached
 N8_SINGULAR_SIZES = (7, 37, 163, 610, 1919, 5028, 10847, 19234, 28173, 34532, 35962, 32232)
+# singular-set sizes by degree, frozen from the word-by-word singular-set walk
+N5_SINGULAR_SIZES = (4, 12, 28, 48, 53, 36, 16, 6, 1, 0)
+N6_SINGULAR_SIZES = (5, 19, 59, 146, 264, 347, 343, 266, 168, 87, 35, 9, 1, 0)
+# n=5 census presentation #12070 in content order: open at the census
+# degree cap of 12, with ten singular words at every degree from 5 on
+CENSUS_OPEN = """\
+generators 5
+x2*x1 = 0
+x4*x1 = 0
+x5*x1 = 0
+x4*x2 = 0
+x5*x2 = 0
+x4*x3 = x1*x1
+x5*x3 = x3*x1
+x4*x4 = x3*x3
+x5*x4 = x2*x2
+x5*x5 = x3*x2
+"""
+CENSUS_OPEN_SINGULAR_SIZES = (4, 10, 15, 12) + (10,) * 8
 
 
 def test_criterion_01_delta_arithmetic():
@@ -117,6 +137,17 @@ def test_criterion_04d_tower8_best_effort():
     assert len(sizes) >= 5, "budget too tight to reach degree 5"
     checkable = min(len(sizes), len(N8_SINGULAR_SIZES))
     assert tuple(sizes[:checkable]) == N8_SINGULAR_SIZES[:checkable]
+
+
+def test_criterion_04e_singular_set_sizes():
+    cases = (
+        (build_regular_qhs(5), 40, N5_SINGULAR_SIZES),
+        (build_regular_qhs(6), 40, N6_SINGULAR_SIZES),
+        (parse_presentation(CENSUS_OPEN), 12, CENSUS_OPEN_SINGULAR_SIZES),
+    )
+    for p, cap, expected in cases:
+        chain = iter_singular_sets(p, EngineLimits(max_degree=cap))
+        assert tuple(len(words) for _d, words in chain) == expected, p
 
 
 def test_criterion_05_power_word_reaches_top():

@@ -1,5 +1,7 @@
 import pytest
 
+import quadsemi.engine as engine
+from quadsemi.constructions import build_regular_qhs
 from quadsemi.engine import (
     Classification,
     EngineLimits,
@@ -127,6 +129,7 @@ class TestErrors:
         with pytest.raises(ResourceExhausted) as err:
             coset_class(word, p, FULL, EngineLimits(max_class_size=100))
         assert err.value.word == word
+        assert err.value.degree == 12
 
     def test_limits_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -275,3 +278,63 @@ class TestRegularity:
         assert result.status == "inconclusive"
         assert result.degree == 1
         assert "exceeded 1" in result.detail
+
+
+def _chain(p, limits=EngineLimits(max_degree=8)):
+    return list(iter_singular_sets(p, limits))
+
+
+def _small_qhs_and_tower5(tower5):
+    return [tower5, *(p for n in (1, 2, 3) for p in qhs_census(n))]
+
+
+class TestSingularBlocks:
+    """The singular-set step walks blocks of the singular classes one degree down."""
+
+    @pytest.mark.parametrize("budget", [0, 40])
+    def test_classes_past_the_memo_budget_are_walked_word_by_word(
+            self, monkeypatch, tower5, budget):
+        # budget 0 keeps no class; 40 keeps some classes of tower n=5 and not others
+        cases = _small_qhs_and_tower5(tower5)
+        unbounded = [_chain(p) for p in cases]
+        monkeypatch.setattr(engine, "_MEMO_WORD_BUDGET", budget)
+        assert [_chain(p) for p in cases] == unbounded
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13])
+    def test_capped_regularity_is_inconclusive_or_exact(self, tower5, cap):
+        for p in _small_qhs_and_tower5(tower5):
+            exact = regularity_degree(p, EngineLimits(max_degree=12))
+            capped = regularity_degree(p, EngineLimits(max_class_size=cap, max_degree=12))
+            if capped.status == "inconclusive":
+                assert capped.degree < exact.degree, (p, cap)
+            else:
+                assert capped == exact, (p, cap)
+
+    def test_tower6_capped_regularity_is_frozen(self):
+        p = build_regular_qhs(6)
+        capped = regularity_degree(p, EngineLimits(max_class_size=1000, max_degree=40))
+        assert capped.status == "inconclusive"
+        assert capped.degree >= 7
+        capped = regularity_degree(p, EngineLimits(max_class_size=3000, max_degree=40))
+        assert (capped.status, capped.degree) == ("regular", 14)
+
+    def test_exhaustion_reports_its_degree(self, tower5):
+        with pytest.raises(ResourceExhausted) as err:
+            _chain(tower5, EngineLimits(max_class_size=1, max_degree=40))
+        assert err.value.degree == len(err.value.word) == 2
+        result = regularity_degree(tower5, EngineLimits(max_class_size=1, max_degree=40))
+        assert result.detail == str(err.value)
+
+    def test_a_foreign_block_with_the_last_letter_is_checked_member_by_member(self):
+        # 1 1 2 swaps at its last position to 1 3 2, whose prefix lies in
+        # another class one degree down.  That member carries the top letter
+        # where it differs from the prefix 1 1, so 1 1 2 is tame, although
+        # the block (class of 1 3, letter 2) is settled without a word walk.
+        rules = engine._rules(swap_only(3, ((1, 2), (3, 2))), FULL)
+        home = (0, b"\x01\x01", {1: [b"\x01\x01"]}, 1)
+        foreign = (256, b"\x01\x03", {3: [b"\x01\x03"]}, 1)
+        below = {b"\x01\x01": home, b"\x01\x03": foreign}
+        word = b"\x01\x01\x02"
+        mark, seen, _blocks = engine._settle(word, rules, 10, below, {})
+        assert mark == word
+        assert not seen
