@@ -68,8 +68,6 @@ def hilbert_profile(p: Presentation, max_degree: int | None = None,
     basis = initial_basis(p, mode)
     dims.append(len(basis.minimals))
     degree = 1
-    if dims[-1] == 0:
-        return HilbertProfile(n, mode, tuple(dims), nilpotency_index=1)
     while degree < cap:
         try:
             basis = next_minimal_basis(basis, p, mode, limits)

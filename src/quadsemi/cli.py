@@ -52,14 +52,6 @@ INPUT_ERROR = 1
 INCONCLUSIVE = 2
 
 
-class _Fail(Exception):
-    """Carries an exit code and a message for the error path."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this tool reserves 2 for
     inconclusive verdicts, so usage errors are remapped to 1."""
@@ -170,9 +162,9 @@ def _load(path):
     try:
         return load_presentation(path)
     except PresentationSyntaxError as exc:
-        raise _Fail(INPUT_ERROR, f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from None
     except OSError as exc:
-        raise _Fail(INPUT_ERROR, str(exc))
+        raise ValueError(str(exc)) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -239,11 +231,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    inner = _load(args.file)
-    try:
-        p = extend(inner)
-    except ValueError as exc:
-        raise _Fail(INPUT_ERROR, str(exc))
+    p = extend(_load(args.file))
     _emit(_render_presentation(p, args.json), args.out)
     return OK
 
@@ -304,10 +292,7 @@ def _cmd_singular(args) -> int:
     parameters = {"degree": args.degree, "max_class_size": limits.max_class_size}
 
     def compute() -> dict:
-        try:
-            words = singular_monomials(p, args.degree, limits)
-        except ValueError as exc:
-            raise _Fail(INPUT_ERROR, str(exc))
+        words = singular_monomials(p, args.degree, limits)
         return {"degree": args.degree, "singular": [list(w) for w in words]}
 
     result = _cached_result(args, presentation_hash(p), "singular", parameters, compute)
@@ -329,10 +314,7 @@ def _cmd_regularity(args) -> int:
     parameters = {"cap": cap, "max_class_size": limits.max_class_size}
 
     def compute() -> dict:
-        try:
-            r = regularity_degree(p, limits)
-        except ValueError as exc:
-            raise _Fail(INPUT_ERROR, str(exc))
+        r = regularity_degree(p, limits)
         return {
             "status": r.status,
             "degree": r.degree,
@@ -382,10 +364,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_lemma_m1(args) -> int:
-    try:
-        q = args.power if args.power is not None else witness_power(args.n)
-    except ValueError as exc:
-        raise _Fail(INPUT_ERROR, str(exc))
+    q = args.power if args.power is not None else witness_power(args.n)
     p = build_regular_qhs(args.n)
     limits = _limits(args)
     parameters = {"n": args.n, "q": q, "max_class_size": limits.max_class_size}
@@ -409,22 +388,19 @@ def _cmd_lemma_m1(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        if args.presentations:
-            if args.d_max is None:
-                raise _Fail(INPUT_ERROR, "--presentations requires --d-max")
-            stream = enumerate_presentations(args.n, args.d_max)
-        else:
-            if args.d_max is not None:
-                raise _Fail(INPUT_ERROR, "--d-max applies only with --presentations")
-            stream = enumerate_qhs(args.n)
-        if args.count:
-            print(sum(1 for _ in stream))
-        else:
-            for p in stream:
-                print(canonical_json(p))
-    except ValueError as exc:
-        raise _Fail(INPUT_ERROR, str(exc))
+    if args.presentations:
+        if args.d_max is None:
+            raise ValueError("--presentations requires --d-max")
+        stream = enumerate_presentations(args.n, args.d_max)
+    else:
+        if args.d_max is not None:
+            raise ValueError("--d-max applies only with --presentations")
+        stream = enumerate_qhs(args.n)
+    if args.count:
+        print(sum(1 for _ in stream))
+    else:
+        for p in stream:
+            print(canonical_json(p))
     return OK
 
 
@@ -439,10 +415,7 @@ def _cmd_delta_table(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    try:
-        records = census_records(args.n)
-    except ValueError as exc:
-        raise _Fail(INPUT_ERROR, str(exc))
+    records = census_records(args.n)
     text = census_csv(records)
     if args.out is None:
         sys.stdout.write(text)
@@ -479,9 +452,10 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except _Fail as exc:
+    except ValueError as exc:
+        # unusable input, as the loader or the library reports it
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return INPUT_ERROR
     except ResourceExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return INCONCLUSIVE

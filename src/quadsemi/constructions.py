@@ -22,7 +22,6 @@ from .model import (
     delta,
     presentation,
     strip_top,
-    validate_qhs,
 )
 
 _BASE_RELATIONS = {
@@ -72,8 +71,7 @@ def extend(inner: Presentation) -> Presentation:
     zero x_n*x_1 = 0.  The result is again a valid QHS and adds
     2(m + 4) - 3 relations net.
     """
-    report = validate_qhs(inner)
-    if not report.valid:
+    if not inner.is_qhs:
         raise ValueError("extension requires a valid QHS inner presentation")
     m = inner.alphabet.n
     n = m + 4

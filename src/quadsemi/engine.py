@@ -65,7 +65,6 @@ from .model import (
     Presentation,
     Word,
     monomial_str,
-    validate_qhs,
 )
 
 ENGINE_VERSION = "1.2.0"
@@ -120,15 +119,13 @@ class CosetClass:
 class MinimalBasis:
     """All minimal monomials of one degree, rtl-ascending.
 
-    ``singular`` is the subset classified singular; it is only meaningful
-    when the basis was computed in WITHOUT_TOP mode and is empty otherwise.
     ``_classes`` carries the class quotient the next degree is built from;
-    it takes no part in comparison.
+    it takes no part in comparison.  Which minimal words are singular is
+    answered by ``iter_singular_sets``, not by a basis.
     """
 
     degree: int
     minimals: tuple
-    singular: tuple
     _classes: _Classes | None = field(default=None, compare=False, repr=False)
 
 
@@ -181,11 +178,10 @@ class _Rules:
     a zero monomial.
     """
 
-    __slots__ = ("n", "maxbyte", "swap", "zeros", "zero_before", "joins", "zero_after")
+    __slots__ = ("n", "swap", "zeros", "zero_before", "joins", "zero_after")
 
-    def __init__(self, n, maxbyte, swap, zeros):
+    def __init__(self, n, swap, zeros):
         self.n = n
-        self.maxbyte = maxbyte
         self.swap = swap
         self.zeros = zeros
         self.zero_before = tuple(frozenset(z[0] for z in zeros if z[1] == b)
@@ -225,7 +221,7 @@ def _rules(p: Presentation, mode: IdealMode) -> _Rules:
         swap.setdefault(right, []).append(left)
     swap = {k: tuple(v) for k, v in swap.items()}
     zeros = tuple(sorted(bytes(q) for q in zero_pairs))
-    return _Rules(n, n, swap, zeros)
+    return _Rules(n, swap, zeros)
 
 
 def _encode_word(word, p: Presentation) -> bytes:
@@ -250,9 +246,9 @@ def _exhausted(w: bytes, cap: int) -> ResourceExhausted:
     )
 
 
-def _top_suffix_witness(v: bytes, w: bytes, m: int, maxbyte: int) -> bool:
+def _top_suffix_witness(v: bytes, w: bytes, m: int, top: int) -> bool:
     """True when v carries the top letter at a position after which v and w agree."""
-    if maxbyte not in v:
+    if top not in v:
         return False
     s = 0
     while s < m and v[m - 1 - s] == w[m - 1 - s]:
@@ -260,7 +256,7 @@ def _top_suffix_witness(v: bytes, w: bytes, m: int, maxbyte: int) -> bool:
     start = m - s - 1
     if start < 0:
         start = 0
-    return maxbyte in v[start:]
+    return top in v[start:]
 
 
 # Budget of words the singular-set steps keep at once: the singular
@@ -376,7 +372,7 @@ def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
     its class is a tame witness for that prefix.
     """
     zeros = rules.zeros
-    top = rules.maxbyte
+    top = rules.n
     zero_before = rules.zero_before
     u = c[:-1]
     last = c[-1]
@@ -560,19 +556,17 @@ def classify(word, p: Presentation, mode: IdealMode = IdealMode.WITHOUT_TOP,
     wb = bytes(w)
     m = len(wb)
     for member in cls.members:
-        if _top_suffix_witness(bytes(member), wb, m, rules.maxbyte):
+        if _top_suffix_witness(bytes(member), wb, m, rules.n):
             return Classification.TAME
     return Classification.SINGULAR
 
 
 def initial_basis(p: Presentation, mode: IdealMode = IdealMode.FULL) -> MinimalBasis:
-    """Degree-1 basis: every letter; a letter is tame exactly when it is x_n."""
-    rules = _rules(p, mode)
-    n = rules.n
+    """Degree-1 basis: every letter, each a class of its own."""
+    n = _rules(p, mode).n
     minimals = tuple((x,) for x in range(1, n + 1))
-    singular = tuple((x,) for x in range(1, n)) if mode is IdealMode.WITHOUT_TOP else ()
     classes = _Classes(p, mode, 1, {a: a for a in range(n)}, (1,) * n)
-    return MinimalBasis(1, minimals, singular, classes)
+    return MinimalBasis(1, minimals, classes)
 
 
 def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
@@ -654,9 +648,8 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
     The class quotient carried by ``basis`` gives the next degree's
     classes without walking them; a basis that carries none, or one built
     for another presentation or mode, has its quotient rebuilt from degree
-    1.  In WITHOUT_TOP mode ``singular`` is filled by walking each new
-    minimal word's class word by word (``_settle`` with no classes known)
-    until a tame witness shows.
+    1.  ResourceExhausted when a nonzero class has more than
+    limits.max_class_size words.
     """
     rules = _rules(p, mode)
     cap = limits.max_class_size
@@ -668,12 +661,7 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
         while classes.degree < basis.degree:
             minimals, classes = _quotient_step(minimals, classes, rules, cap)
     minimals, classes = _quotient_step(minimals, classes, rules, cap)
-    singular = ()
-    if mode is IdealMode.WITHOUT_TOP:
-        # with no classes known every member is walked, so the cap holds
-        singular = tuple(w for w in minimals
-                         if _settle(bytes(w), rules, cap, {}, {})[0] is None)
-    return MinimalBasis(basis.degree + 1, minimals, singular, classes)
+    return MinimalBasis(basis.degree + 1, minimals, classes)
 
 
 def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
@@ -687,8 +675,7 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     as blocks.  Runs until the set empties or limits.max_degree is reached.
     Requires a valid QHS.
     """
-    report = validate_qhs(p)
-    if not report.valid:
+    if not p.is_qhs:
         raise ValueError("singular sets are defined for valid QHS presentations only")
     rules = _rules(p, IdealMode.WITHOUT_TOP)
     cap = limits.max_class_size

@@ -9,6 +9,8 @@ arithmetic.  Budgets are asserted where the contract states one.
 import time
 from itertools import islice
 
+import pytest
+
 import bruteforce
 from small_qhs import qhs_census
 
@@ -111,6 +113,7 @@ def test_criterion_04b_tower6_finite():
     assert time.perf_counter() - start < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_04c_tower7_best_effort():
     p = build_regular_qhs(7)
     result = regularity_degree(p, EngineLimits(max_degree=64))
@@ -122,6 +125,7 @@ def test_criterion_04c_tower7_best_effort():
     assert profile.nilpotency_index <= result.degree + 1
 
 
+@pytest.mark.slow
 def test_criterion_04d_tower8_best_effort():
     # the full search is out of desk range; walk degrees against the frozen
     # baseline until a 45 s budget runs out and record how far that got
@@ -199,7 +203,6 @@ def test_criterion_07_oracle_equivalence():
             assert list(basis.minimals) == expected, (p, mode, m)
             if without_top:
                 singular = oracle.singular_words()
-                assert list(basis.singular) == singular, (p, m)
                 assert list(singular_monomials(p, m)) == singular, (p, m)
             if not basis.minimals:
                 break

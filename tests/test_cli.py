@@ -172,6 +172,16 @@ class TestSingularRegularity:
         assert main(["--max-class-size", "1", "regularity", tower5_file]) == 2
         assert "inconclusive" in capsys.readouterr().out
 
+    def test_singular_class_cap_exits_two(self, tower5_file, capsys):
+        assert main(["--max-class-size", "1", "singular", tower5_file, "--degree", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "inconclusive: coset class of x1*x1 exceeded 1 members" in err
+
+    def test_regularity_rejects_non_qhs(self, free2_file, capsys):
+        assert main(["regularity", free2_file]) == 1
+        err = capsys.readouterr().err
+        assert "error: singular sets are defined for valid QHS presentations only" in err
+
 
 class TestCertify:
     def test_found(self, free2_file, capsys):

@@ -167,11 +167,6 @@ class TestBases:
         basis = initial_basis(m3, FULL)
         assert basis.degree == 1
         assert basis.minimals == ((1,), (2,), (3,))
-        assert basis.singular == ()
-
-    def test_initial_basis_reduced(self, m3):
-        basis = initial_basis(m3, REDUCED)
-        assert basis.singular == ((1,), (2,))
 
     def test_degree_two_basis(self, m2):
         basis = next_minimal_basis(initial_basis(m2, FULL), m2, FULL)
@@ -210,7 +205,7 @@ class TestBases:
         basis = initial_basis(tower5, REDUCED)
         for _ in range(3):
             basis = next_minimal_basis(basis, tower5, REDUCED)
-        bare = MinimalBasis(basis.degree, basis.minimals, basis.singular)
+        bare = MinimalBasis(basis.degree, basis.minimals)
         assert bare == basis
         assert next_minimal_basis(bare, tower5, REDUCED) == next_minimal_basis(
             basis, tower5, REDUCED)
@@ -338,3 +333,18 @@ class TestSingularBlocks:
         mark, seen, _blocks = engine._settle(word, rules, 10, below, {})
         assert mark == word
         assert not seen
+
+    def test_a_block_with_an_earlier_letter_precedes_the_word(self):
+        # 1 1 3 swaps at its last position to 1 2 2, whose prefix lies in
+        # another class one degree down.  That block ends in a letter before
+        # 3, so its words precede 1 1 3, which is not minimal.  Nothing else
+        # in the walk shows it: the block's only exit leads back to the root.
+        p = swap_only(4, ((1, 3), (2, 2)))
+        rules = engine._rules(p, FULL)
+        home = (0, b"\x01\x01", {1: [b"\x01\x01"]}, 1)
+        foreign = (256, b"\x01\x02", {2: [b"\x01\x02"]}, 1)
+        below = {b"\x01\x01": home, b"\x01\x02": foreign}
+        word = b"\x01\x01\x03"
+        mark, _seen, _blocks = engine._settle(word, rules, 10, below, {})
+        assert mark == word
+        assert minimal_monomial((1, 1, 3), p) == (1, 2, 2)
