@@ -9,8 +9,6 @@ vanishing power of the augmentation part).
 
 from __future__ import annotations
 
-import io
-import csv
 from dataclasses import dataclass
 
 from .engine import (
@@ -132,11 +130,3 @@ def profile_to_json(profile: HilbertProfile) -> dict:
         "verdict": profile.verdict,
     }
 
-
-def profile_to_csv(profile: HilbertProfile) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["degree", "dimension"])
-    for m, dim in enumerate(profile.dims):
-        writer.writerow([m, dim])
-    return buf.getvalue()

@@ -25,7 +25,6 @@ import fcntl
 import json
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import ENGINE_VERSION
@@ -59,16 +58,6 @@ def _index_lines(data: bytes, start: int, end: int, spans: dict) -> None:
         start = stop + 1
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    presentation_hash: str
-    operation: str
-    parameters: dict
-    result: dict
-    wall_time: float
-    engine_version: str
-
-
 class RunCache:
     """Append-only store of finished runs under one directory."""
 
@@ -98,24 +87,16 @@ class RunCache:
         return json.loads(data[span[0]:span[1]])["result"]
 
     def store(self, presentation_hash: str, operation: str, parameters: dict,
-              result: dict, wall_time: float) -> RunRecord:
-        record = RunRecord(
-            presentation_hash=presentation_hash,
-            operation=operation,
-            parameters=parameters,
-            result=result,
-            wall_time=wall_time,
-            engine_version=ENGINE_VERSION,
-        )
+              result: dict, wall_time: float) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         line = json.dumps(
             {
-                "presentation_hash": record.presentation_hash,
-                "operation": record.operation,
-                "parameters": record.parameters,
-                "result": record.result,
-                "wall_time": record.wall_time,
-                "engine_version": record.engine_version,
+                "presentation_hash": presentation_hash,
+                "operation": operation,
+                "parameters": parameters,
+                "result": result,
+                "wall_time": wall_time,
+                "engine_version": ENGINE_VERSION,
                 "stored_at": time.time(),
             },
             sort_keys=True,
@@ -132,7 +113,6 @@ class RunCache:
             os.write(fd, data)
         finally:
             os.close(fd)
-        return record
 
 
 def resolve_cache(explicit: str | None) -> RunCache | None:

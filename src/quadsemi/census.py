@@ -29,10 +29,7 @@ from .engine import EngineLimits, regularity_degree
 from .model import (
     Presentation,
     Relation,
-    _equal_shape_ok,
     is_pure,
-    lower_pairs,
-    pair_key,
     presentation,
     presentation_hash,
 )
@@ -43,48 +40,45 @@ GENERAL_ENUM_CAP = 3
 CENSUS_LIMITS = EngineLimits(max_class_size=100_000, max_degree=12)
 
 
-def _oriented_equal(p1, p2) -> Relation | None:
-    """The equality relation on two lower pairs when its shape is legal.
-
-    Relation.equal already orients the pair-key-larger side left, and in
-    both legal shapes that orientation is the only possible one, so a
-    single shape test decides.
-    """
-    rel = Relation.equal(p1, p2)
-    if _equal_shape_ok(rel.left, rel.right):
-        return rel
-    return None
-
-
 def enumerate_qhs(n: int):
     """Yield every QHS on n generators exactly once, in a canonical order.
 
     Recursion: the first unmatched lower pair is either a zero relation or
-    matched with one later unmatched pair; only shape-legal matches are
-    followed.  Feasible for n <= 5.
+    matched with one later unmatched pair; only relations a QHS may hold
+    are followed, each built once per call.  Feasible for n <= 5.
     """
     if not 1 <= n <= QHS_ENUM_CAP:
         raise ValueError(f"QHS enumeration is capped at n <= {QHS_ENUM_CAP}")
-    pairs = sorted(lower_pairs(n), key=pair_key)
+    zero: dict = {}
+    equal: dict = {}
+    for rel in relation_universe(n):
+        if not rel._fits_qhs():
+            continue
+        if rel.is_zero:
+            zero[rel.left] = rel
+        else:
+            # the left side is the later pair, so the unmatched head is the right
+            equal[(rel.right, rel.left)] = rel
 
     def rec(unused: tuple, acc: list):
         if not unused:
-            yield presentation(n, list(acc))
+            yield presentation(n, acc)
             return
         head = unused[0]
         rest = unused[1:]
-        acc.append(Relation.zero(*head))
+        acc.append(zero[head])
         yield from rec(rest, acc)
         acc.pop()
         for i, other in enumerate(rest):
-            rel = _oriented_equal(head, other)
+            rel = equal.get((head, other))
             if rel is None:
                 continue
             acc.append(rel)
             yield from rec(rest[:i] + rest[i + 1:], acc)
             acc.pop()
 
-    yield from rec(tuple(pairs), [])
+    # the admissible zero monomials are the lower pairs, already in pair order
+    yield from rec(tuple(zero), [])
 
 
 def relation_universe(n: int) -> tuple:

@@ -198,11 +198,15 @@ class _Rules:
         )
 
 
+def _check_alphabet(n: int) -> None:
+    if n > 255:
+        raise ValueError("the coset engine supports at most 255 generators")
+
+
 @lru_cache(maxsize=256)
 def _rules(p: Presentation, mode: IdealMode) -> _Rules:
     n = p.alphabet.n
-    if n > 255:
-        raise ValueError("the coset engine supports at most 255 generators")
+    _check_alphabet(n)
     zero_pairs = [r.left for r in p.relations if r.is_zero]
     if mode is IdealMode.WITHOUT_TOP:
         top = (n, 1)
@@ -675,6 +679,8 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     as blocks.  Runs until the set empties or limits.max_degree is reached.
     Requires a valid QHS.
     """
+    # the QHS check builds all n(n+1)/2 lower pairs: reject a too-large alphabet first
+    _check_alphabet(p.alphabet.n)
     if not p.is_qhs:
         raise ValueError("singular sets are defined for valid QHS presentations only")
     rules = _rules(p, IdealMode.WITHOUT_TOP)

@@ -130,6 +130,19 @@ class Relation:
         letters = [*self.left, *(self.right or ())]
         return max(letters)
 
+    def _fits_qhs(self) -> bool:
+        """True when a QHS may hold this relation.
+
+        A zero monomial must be non-ascending; an equality must have the
+        shape a >= b > c >= d or a > b = c > d.  ``validate_qhs`` and the
+        census enumeration both decide admissibility here alone.
+        """
+        a, b = self.left
+        if self.right is None:
+            return a >= b
+        c, d = self.right
+        return (a >= b > c >= d) or (a > b == c > d)
+
     def sort_key(self):
         if self.right is None:
             return (pair_key(self.left), 0, ())
@@ -150,10 +163,6 @@ class Alphabet:
 
     def letters(self) -> range:
         return range(1, self.n + 1)
-
-    @property
-    def top(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -230,12 +239,6 @@ def lower_pairs(n: int) -> set:
     return {(a, b) for a in range(1, n + 1) for b in range(1, a + 1)}
 
 
-def _equal_shape_ok(left: Pair, right: Pair) -> bool:
-    a, b = left
-    c, d = right
-    return (a >= b > c >= d) or (a > b == c > d)
-
-
 def validate_qhs(p: Presentation) -> QhsReport:
     """Check the partition axioms defining a QHS.
 
@@ -270,20 +273,13 @@ def validate_qhs(p: Presentation) -> QhsReport:
         ))
 
     for rel in p.relations:
+        if rel._fits_qhs():
+            continue
         if rel.is_zero:
-            a, b = rel.left
-            if a < b:
-                violations.append(Violation(
-                    ViolationKind.BAD_RELATION_SHAPE,
-                    f"zero monomial {pair_str(rel.left)} has ascending letters",
-                    rel.left,
-                ))
-        elif not _equal_shape_ok(rel.left, rel.right):
-            violations.append(Violation(
-                ViolationKind.BAD_RELATION_SHAPE,
-                f"relation {rel} matches neither admissible shape",
-                rel.left,
-            ))
+            detail = f"zero monomial {pair_str(rel.left)} has ascending letters"
+        else:
+            detail = f"relation {rel} matches neither admissible shape"
+        violations.append(Violation(ViolationKind.BAD_RELATION_SHAPE, detail, rel.left))
 
     top = (n, 1)
     if not any(rel.is_zero and rel.left == top for rel in p.relations):
@@ -374,7 +370,8 @@ def from_json_dict(data: dict) -> Presentation:
             rels.append(Relation.zero(q[0], q[1]))
         elif "equal" in entry:
             q = entry["equal"]
-            if not (isinstance(q, list) and len(q) == 2):
+            if not (isinstance(q, list) and len(q) == 2
+                    and all(isinstance(side, list) and len(side) == 2 for side in q)):
                 raise ValueError(f"relations entry {idx}: 'equal' needs two pairs")
             rels.append(Relation.equal(tuple(q[0]), tuple(q[1])))
         else:

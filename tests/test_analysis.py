@@ -5,7 +5,6 @@ from quadsemi.analysis import (
     HilbertProfile,
     dim3_report,
     hilbert_profile,
-    profile_to_csv,
     profile_to_json,
     total_dimension,
 )
@@ -125,10 +124,6 @@ class TestExports:
             "exhausted": None,
             "verdict": "finite:3",
         }
-
-    def test_csv_shape(self, m1):
-        text = profile_to_csv(hilbert_profile(m1))
-        assert text == "degree,dimension\n0,1\n1,1\n2,0\n"
 
     def test_verdict_strings(self):
         assert HilbertProfile(2, IdealMode.FULL, (1,), truncated_at=0).verdict == "open:0"

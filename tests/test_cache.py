@@ -39,9 +39,9 @@ def test_mismatches_miss(tmp_path):
 
 def test_engine_version_gates_hits(tmp_path):
     cache = RunCache(tmp_path)
-    record = cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
-    assert record.engine_version == ENGINE_VERSION
+    cache.store(HASH, "hilbert", PARAMS, RESULT, 0.0)
     line = json.loads(cache.path.read_text())
+    assert line["engine_version"] == ENGINE_VERSION
     line["engine_version"] = "0.0.0"
     cache.path.write_text(json.dumps(line) + "\n")
     assert cache.lookup(HASH, "hilbert", PARAMS) is None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from quadsemi.census import (
     pure_bound_check,
     relation_universe,
 )
-from quadsemi.model import lower_pairs, qhs_cardinality_bounds, validate_qhs
+from quadsemi.model import lower_pairs, presentation_hash, qhs_cardinality_bounds, validate_qhs
 
 from small_qhs import qhs_census
 
@@ -27,6 +28,18 @@ class TestQhsEnumeration:
         assert len(qhs_census(2)) == 2
         assert len(qhs_census(3)) == 13
         assert len(qhs_census(4)) == 331
+
+    def test_order_is_frozen(self):
+        # the served workload names its input files by this order
+        digests = {
+            1: "8ba88c0d3e8a0c27e75ec2f9bd355d1184dadf37d86d0dd01be7878a46ba658d",
+            2: "825a7de233e18c625dae1891fb9c68f226e55991164da8d0a874596855ba367c",
+            3: "af18ba60a3c2de402e8f86e00f387b3c1971e9dcb3ca30556f0d1e47098cec5a",
+            4: "84f7fd83eb8a31c6202baa2a6bd2e83448037c8b3524df030fefb5e715f2b3e3",
+        }
+        for n, digest in digests.items():
+            hashes = "".join(presentation_hash(p) for p in enumerate_qhs(n))
+            assert hashlib.sha256(hashes.encode("ascii")).hexdigest() == digest, n
 
     @pytest.mark.slow
     def test_count_n5(self):

@@ -177,6 +177,14 @@ class TestSingularRegularity:
         err = capsys.readouterr().err
         assert "inconclusive: coset class of x1*x1 exceeded 1 members" in err
 
+    @pytest.mark.parametrize("args", [["regularity"], ["singular", "--degree", "2"]])
+    def test_too_many_generators_fail_before_the_qhs_check(self, tmp_path, args, capsys):
+        # the QHS check would build all 500500 lower pairs first
+        path = tmp_path / "big.txt"
+        path.write_text("generators 1000\n")
+        assert main([*args, str(path)]) == 1
+        assert "error: the coset engine supports at most 255 generators" in capsys.readouterr().err
+
     def test_regularity_rejects_non_qhs(self, free2_file, capsys):
         assert main(["regularity", free2_file]) == 1
         err = capsys.readouterr().err

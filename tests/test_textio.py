@@ -86,6 +86,13 @@ def test_json_semantic_error_wrapped():
         parse_presentation('{"relations": []}')
 
 
+@pytest.mark.parametrize("side", ["5", "[5]", '"ab"'])
+def test_json_equal_side_must_be_a_pair(side):
+    text = f'{{"n": 2, "relations": [{{"equal": [{side}, [2, 1]]}}]}}'
+    with pytest.raises(PresentationSyntaxError, match="'equal' needs two pairs"):
+        parse_presentation(text)
+
+
 def test_whitespace_tolerance():
     p = parse_presentation("generators  3\n x3*x3   =  x2*x1 \nx3*x2=x1*x1\nx2*x2=0\nx3*x1 = 0")
     assert p == presentation(3, [
