@@ -330,6 +330,8 @@ def _cmd_regularity(args) -> int:
               f"(nilpotency index at most {result['nilpotency_bound']})")
     elif result["status"] == "irregular_up_to":
         print(f"singular monomials persist through degree {result['degree']}")
+        if result["detail"]:
+            print(result["detail"])
     else:
         print(f"inconclusive: {result['detail']}")
     return OK if result["status"] == "regular" else INCONCLUSIVE

@@ -44,6 +44,19 @@ a block with the candidate's last letter, from a class other than the
 candidate prefix's, has its words checked one by one for a tame witness.
 Words whose prefix lies in no class handed on are walked one by one.
 
+The class quotient also settles some infinite algebras outright.  The next
+degree's blocks map comes from the current one and the rules alone: the
+minimum words and sizes ride along but feed nothing back.  So when a
+degree's blocks map equals the one it was built from and the degree still
+has classes, every later degree repeats it, and the algebra is
+infinite-dimensional.  ``_quotient_step`` records that fixed point, or the
+degree where no class is left, on the ``_Rules`` it was given; both facts
+hold whatever the caps, so later calls for the same presentation and mode
+share them.  A repeating FULL quotient settles regularity: a degree with no
+singular words would make the algebra nilpotent of index at most one more
+than that degree, so an infinite algebra has singular words in every degree
+and ``regularity_degree`` need not walk them.
+
 Resource caps never silently change an answer.  A nonzero class larger
 than max_class_size, or a walk that outgrows it, raises
 ResourceExhausted, and callers report that outcome as inconclusive.  In
@@ -67,7 +80,7 @@ from .model import (
     monomial_str,
 )
 
-ENGINE_VERSION = "1.2.0"
+ENGINE_VERSION = "1.3.0"
 
 
 @dataclass(frozen=True)
@@ -154,7 +167,10 @@ class RegularityResult:
     status is 'regular' (degree = first degree with no singular words,
     nilpotency_bound = degree + 1), 'irregular_up_to' (singular words
     survived through the degree cap) or 'inconclusive' (a resource cap cut
-    the walk; degree is the last fully decided one).
+    the walk; degree is the last fully decided one).  An 'irregular_up_to'
+    settled by a repeating full class quotient, without a walk, names the
+    degree of the repeat in ``detail``; an 'inconclusive' one names the
+    cap that was hit.
     """
 
     status: str
@@ -175,13 +191,16 @@ class _Rules:
     ``joins`` and ``zero_after`` serve the class quotient with letters
     counted from 0: joins[a] lists (b, ((r0, r1), ...)) for each letter b
     such that a b swaps to r0 r1, and zero_after[a] the letters b with a b
-    a zero monomial.
+    a zero monomial.  ``fate`` is None until a class quotient under these
+    rules is seen to end, then ("dies", m) when degree m has no class, or
+    ("repeats", m) when degree m's blocks map equals degree m-1's.
     """
 
-    __slots__ = ("n", "swap", "zeros", "zero_before", "joins", "zero_after")
+    __slots__ = ("n", "swap", "zeros", "zero_before", "joins", "zero_after", "fate")
 
     def __init__(self, n, swap, zeros):
         self.n = n
+        self.fate = None
         self.swap = swap
         self.zeros = zeros
         self.zero_before = tuple(frozenset(z[0] for z in zeros if z[1] == b)
@@ -583,7 +602,9 @@ def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
     (a, b) -> (r0, r1), where t is the class of block d*n + r0; a missing
     t makes it zero.  Zero spreads over its component.  Returns the new
     rtl-ascending minimal words and their classes; ResourceExhausted when
-    a nonzero class has more than ``cap`` words.
+    a nonzero class has more than ``cap`` words.  A new degree with no
+    class, or with the same blocks map as ``classes``, sets ``rules.fate``
+    (before the cap is checked) if it is not yet known.
     """
     n = rules.n
     joins = rules.joins
@@ -637,6 +658,11 @@ def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
             else:
                 new_size[k] += sizes[c]
             new_blocks[u] = k
+    if rules.fate is None:
+        if not new_min:
+            rules.fate = ("dies", classes.degree + 1)
+        elif new_blocks == blocks:
+            rules.fate = ("repeats", classes.degree + 1)
     for k, size in enumerate(new_size):
         if size > cap:
             raise _exhausted(bytes(new_min[k]), cap)
@@ -668,6 +694,13 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
     return MinimalBasis(basis.degree + 1, minimals, classes)
 
 
+def _require_qhs(p: Presentation) -> None:
+    # a too-large alphabet is rejected first, whether or not it is a QHS
+    _check_alphabet(p.alphabet.n)
+    if not p.is_qhs:
+        raise ValueError("singular sets are defined for valid QHS presentations only")
+
+
 def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     """Yield (degree, singular words) degree by degree against the reduced ideal.
 
@@ -679,10 +712,7 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     as blocks.  Runs until the set empties or limits.max_degree is reached.
     Requires a valid QHS.
     """
-    # the QHS check builds all n(n+1)/2 lower pairs: reject a too-large alphabet first
-    _check_alphabet(p.alphabet.n)
-    if not p.is_qhs:
-        raise ValueError("singular sets are defined for valid QHS presentations only")
+    _require_qhs(p)
     rules = _rules(p, IdealMode.WITHOUT_TOP)
     cap = limits.max_class_size
     letters = _LETTERS[1:rules.n + 1]
@@ -720,13 +750,44 @@ def singular_monomials(p: Presentation, m: int,
     return ()
 
 
+def _full_fate(p: Presentation, limits: EngineLimits):
+    """``_rules(p, FULL).fate``, stepping the FULL quotient to learn it if unknown.
+
+    The steps go up to degree limits.max_degree + 1 and stop early when
+    the quotient dies, repeats or outgrows limits.max_class_size.  None
+    when it was not seen to die or repeat.
+    """
+    rules = _rules(p, IdealMode.FULL)
+    if rules.fate is None:
+        basis = initial_basis(p)
+        minimals, classes = basis.minimals, basis._classes
+        try:
+            while rules.fate is None and classes.degree <= limits.max_degree:
+                minimals, classes = _quotient_step(minimals, classes, rules,
+                                                   limits.max_class_size)
+        except ResourceExhausted:
+            pass
+    return rules.fate
+
+
 def regularity_degree(p: Presentation,
                       limits: EngineLimits = DEFAULT_LIMITS) -> RegularityResult:
     """Search for the first degree with no singular words.
 
     Finding one at degree m settles everything: the algebra of the full
-    presentation is nilpotent of index at most m + 1.
+    presentation is nilpotent of index at most m + 1.  So when the FULL
+    class quotient repeats, the algebra is infinite, no such degree exists,
+    and the answer is 'irregular_up_to' at the degree cap without walking
+    a singular set.  Otherwise the singular sets are walked degree by
+    degree.  Requires a valid QHS.
     """
+    _require_qhs(p)
+    fate = _full_fate(p, limits)
+    if fate is not None and fate[0] == "repeats":
+        return RegularityResult(
+            "irregular_up_to", limits.max_degree, None,
+            f"full class quotient repeats at degree {fate[1]}: "
+            "the algebra is infinite, with singular words in every degree")
     last = 0
     try:
         for degree, words in iter_singular_sets(p, limits):

@@ -198,12 +198,23 @@ class Presentation:
         return tuple(r for r in self.relations if not r.is_zero)
 
     @cached_property
-    def qhs_report(self) -> "QhsReport":
-        return validate_qhs(self)
-
-    @property
     def is_qhs(self) -> bool:
-        return self.qhs_report.valid
+        """``validate_qhs(self).valid``, stopping at the first failure.
+
+        Admissible relations have supports among the lower pairs, so
+        disjoint supports cover all n(n+1)/2 of them exactly when they
+        number that many.
+        """
+        n = self.alphabet.n
+        seen: set = set()
+        for rel in self.relations:
+            if not rel._fits_qhs():
+                return False
+            for q in rel.support:
+                if q in seen:
+                    return False
+                seen.add(q)
+        return len(seen) == n * (n + 1) // 2 and Relation.zero(n, 1) in self.relations
 
     def __str__(self) -> str:
         body = ", ".join(str(r) for r in self.relations) or "no relations"

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import quadsemi.engine as engine
 from quadsemi.analysis import hilbert_profile
 from quadsemi.census import (
     CENSUS_LIMITS,
@@ -20,6 +21,21 @@ from quadsemi.model import lower_pairs, presentation_hash, qhs_cardinality_bound
 from small_qhs import qhs_census
 
 N5_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census_n5.json"
+
+
+def _n5_hilbert_table():
+    """The n=5 QHS in content order, with their Hilbert verdicts from the table.
+
+    The table is the benchmark's census, computed by whole-class walks: one
+    verdict code per presentation, presentations in content order.
+    """
+    table = json.loads(N5_TABLE.read_text())
+    codes = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    expected = [table["verdicts"][codes.index(c)].split("/")[1]
+                for c in table["verdict_codes"]]
+    ranked = sorted(enumerate_qhs(5), key=lambda p: tuple(
+        (r.left, r.right or (0, 0)) for r in p.relations))
+    return ranked, expected
 
 
 class TestQhsEnumeration:
@@ -47,19 +63,30 @@ class TestQhsEnumeration:
 
     @pytest.mark.slow
     def test_n5_hilbert_verdicts_match_table(self):
-        # the benchmark's census table, computed by whole-class walks: one
-        # verdict code per presentation, presentations in content order
-        table = json.loads(N5_TABLE.read_text())
-        codes = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        expected = [table["verdicts"][codes.index(c)].split("/")[1]
-                    for c in table["verdict_codes"]]
-        ranked = sorted(enumerate_qhs(5), key=lambda p: tuple(
-            (r.left, r.right or (0, 0)) for r in p.relations))
+        ranked, expected = _n5_hilbert_table()
         assert len(ranked) == len(expected) == 37611
         limits = CENSUS_LIMITS
         for i, p in enumerate(ranked):
             profile = hilbert_profile(p, limits.max_degree, limits=limits)
             assert profile.verdict == expected[i], (i, p)
+
+    @pytest.mark.slow
+    def test_n5_open_profiles_are_irregular_without_a_walk(self, monkeypatch):
+        # the table's open verdicts are exactly the open profiles (test above)
+        ranked, expected = _n5_hilbert_table()
+        limits = CENSUS_LIMITS
+        engine._rules.cache_clear()
+
+        def no_walk(*_args):
+            raise AssertionError("the singular sets were walked")
+
+        monkeypatch.setattr(engine, "iter_singular_sets", no_walk)
+        open_ones = [p for p, verdict in zip(ranked, expected) if verdict == "open:12"]
+        assert len(open_ones) == 197
+        for p in open_ones:
+            result = engine.regularity_degree(p, limits)
+            assert (result.status, result.degree) == ("irregular_up_to", 12), p
+            assert hilbert_profile(p, limits.max_degree, limits=limits).verdict == "open:12"
 
     def test_all_valid_and_distinct(self):
         for n in (1, 2, 3):

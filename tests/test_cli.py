@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
 from quadsemi.cli import main
 from quadsemi.textio import render_presentation
+
+from test_acceptance import CENSUS_OPEN
 
 M2_TEXT = "generators 2\nx2*x2 = x1*x1\nx2*x1 = 0\n"
 FREE2_TEXT = "generators 2\n"
@@ -92,6 +95,16 @@ class TestBuildExtend:
         assert main(["extend", free2_file]) == 1
         assert "valid QHS" in capsys.readouterr().err
 
+    def test_extend_rejects_a_large_alphabet_quickly(self, tmp_path, capsys):
+        # the QHS check builds no report of the 500500 uncovered pairs
+        path = tmp_path / "big.txt"
+        path.write_text("generators 1000\n")
+        start = time.perf_counter()
+        assert main(["extend", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "error: extension requires a valid QHS inner presentation" in err
+
 
 class TestHilbert:
     def test_text_output(self, m2_file, capsys):
@@ -168,6 +181,20 @@ class TestSingularRegularity:
         assert main(["regularity", tower5_file, "--cap", "3"]) == 2
         assert "persist through degree 3" in capsys.readouterr().out
 
+    def test_regularity_names_the_repeat(self, tmp_path, capsys):
+        path = tmp_path / "open.txt"
+        path.write_text(CENSUS_OPEN)
+        assert main(["regularity", str(path), "--cap", "12"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "singular monomials persist through degree 12",
+            "full class quotient repeats at degree 8: the algebra is infinite, "
+            "with singular words in every degree",
+        ]
+        assert main(["regularity", str(path), "--cap", "12", "--json"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert set(data) == {"status", "degree", "nilpotency_bound", "detail"}
+        assert (data["status"], data["degree"]) == ("irregular_up_to", 12)
+
     def test_regularity_class_cap_exits_two(self, tower5_file, capsys):
         assert main(["--max-class-size", "1", "regularity", tower5_file]) == 2
         assert "inconclusive" in capsys.readouterr().out
@@ -179,7 +206,7 @@ class TestSingularRegularity:
 
     @pytest.mark.parametrize("args", [["regularity"], ["singular", "--degree", "2"]])
     def test_too_many_generators_fail_before_the_qhs_check(self, tmp_path, args, capsys):
-        # the QHS check would build all 500500 lower pairs first
+        # the alphabet is checked before the QHS
         path = tmp_path / "big.txt"
         path.write_text("generators 1000\n")
         assert main([*args, str(path)]) == 1

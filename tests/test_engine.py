@@ -1,6 +1,8 @@
 import pytest
 
 import quadsemi.engine as engine
+from quadsemi.analysis import hilbert_profile
+from quadsemi.census import enumerate_presentations
 from quadsemi.constructions import build_regular_qhs
 from quadsemi.engine import (
     Classification,
@@ -18,8 +20,11 @@ from quadsemi.engine import (
     singular_monomials,
 )
 from quadsemi.model import IdealMode, Relation, presentation
+from quadsemi.textio import parse_presentation
 
+from bruteforce import Partition
 from small_qhs import qhs_census
+from test_acceptance import CENSUS_OPEN
 
 FULL = IdealMode.FULL
 REDUCED = IdealMode.WITHOUT_TOP
@@ -348,3 +353,87 @@ class TestSingularBlocks:
         mark, _seen, _blocks = engine._settle(word, rules, 10, below, {})
         assert mark == word
         assert minimal_monomial((1, 1, 3), p) == (1, 2, 2)
+
+
+def _walk_only(p, limits):
+    """(status, degree) of regularity_degree as found by the singular-set walk alone."""
+    last = 0
+    try:
+        for degree, words in iter_singular_sets(p, limits):
+            last = degree
+            if not words:
+                return "regular", degree
+        return "irregular_up_to", limits.max_degree
+    except ResourceExhausted:
+        return "inconclusive", last
+
+
+def _no_walk(*_args, **_kwargs):
+    raise AssertionError("the singular sets were walked")
+
+
+class TestRepeatingQuotient:
+    """A repeating FULL class quotient settles regularity without a walk."""
+
+    @pytest.mark.parametrize("max_degree", [12, 40])
+    def test_open_census_presentation_is_settled_without_a_walk(self, monkeypatch,
+                                                                max_degree):
+        p = parse_presentation(CENSUS_OPEN)
+        engine._rules.cache_clear()
+        monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
+        result = regularity_degree(p, EngineLimits(max_degree=max_degree))
+        assert (result.status, result.degree) == ("irregular_up_to", max_degree)
+        assert result.nilpotency_bound is None
+        assert "repeats at degree 8" in result.detail
+
+    def test_a_hilbert_profile_shares_the_fate(self, monkeypatch):
+        p = parse_presentation(CENSUS_OPEN)
+        engine._rules.cache_clear()
+        hilbert_profile(p, 12)
+        assert engine._rules(p, FULL).fate == ("repeats", 8)
+        monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
+        monkeypatch.setattr(engine, "_quotient_step", _no_walk)
+        assert regularity_degree(p, EngineLimits(max_degree=12)).status == "irregular_up_to"
+
+    def test_answers_equal_the_walk(self, tower5):
+        limits = EngineLimits(max_degree=12)
+        # every QHS with n <= 4 is finite; the census presentation is not
+        cases = [*(p for n in (1, 2, 3, 4) for p in qhs_census(n)),
+                 tower5, build_regular_qhs(6), parse_presentation(CENSUS_OPEN)]
+        settled = []
+        for p in cases:
+            result = regularity_degree(p, limits)
+            assert (result.status, result.degree) == _walk_only(p, limits), p
+            assert result.is_regular == (result.nilpotency_bound is not None)
+            if result.detail:
+                settled.append(p)
+        assert settled == cases[-1:]
+
+    def test_repeats_agree_with_the_oracle(self):
+        # constant nonzero dimensions from the degree below the repeat on,
+        # and none at the degree where the quotient dies
+        top = 9
+        repeats = 0
+        for p in enumerate_presentations(2, 3):
+            engine._rules.cache_clear()
+            fate = engine._full_fate(p, EngineLimits(max_degree=top - 1))
+            if fate is None:
+                continue
+            kind, m = fate
+            if kind == "dies":
+                assert not Partition(2, m, p, without_top=False).nonzero_minimals(), p
+                continue
+            repeats += 1
+            dims = {len(Partition(2, k, p, without_top=False).nonzero_minimals())
+                    for k in range(m - 1, top + 1)}
+            assert len(dims) == 1 and 0 not in dims, (p, fate, dims)
+        assert repeats > 0
+
+    def test_capped_run_is_settled_where_the_walk_is_inconclusive(self):
+        # more conclusive, not looser: the repeat is exact whatever the cap
+        p = parse_presentation(CENSUS_OPEN)
+        limits = EngineLimits(max_class_size=1000, max_degree=12)
+        assert _walk_only(p, limits) == ("inconclusive", 9)
+        engine._rules.cache_clear()
+        result = regularity_degree(p, limits)
+        assert (result.status, result.degree) == ("irregular_up_to", 12)

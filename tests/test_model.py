@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quadsemi.census import enumerate_presentations
 from quadsemi.model import (
     Alphabet,
     IdealMode,
@@ -25,6 +26,8 @@ from quadsemi.model import (
     to_json_dict,
     validate_qhs,
 )
+
+from small_qhs import qhs_census
 
 
 class TestOrder:
@@ -167,6 +170,15 @@ class TestValidate:
         )
         report = validate_qhs(p)
         assert ViolationKind.BAD_RELATION_SHAPE in {v.kind for v in report.violations}
+
+    def test_is_qhs_agrees_with_the_report(self):
+        # (2, 4) reaches the QHS on two generators and their near misses
+        cases = [*(p for n in (1, 2, 3, 4) for p in qhs_census(n)),
+                 *enumerate_presentations(3, 2), *enumerate_presentations(2, 4)]
+        verdicts = {p.is_qhs for p in cases}
+        assert verdicts == {True, False}
+        for p in cases:
+            assert p.is_qhs == validate_qhs(p).valid, p
 
     def test_empty_presentation_reports_every_gap(self):
         report = validate_qhs(presentation(2, []))
