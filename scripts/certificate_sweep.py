@@ -3,7 +3,8 @@
 For each n the sweep covers all presentations with at most (n^2+n)/4
 relations, searches for a stable-pair or zero-sum certificate, and
 optionally replays each stable pair as a nonzero power word.  n = 3 visits
-15226 presentations and takes a couple of minutes with verification on.
+15226 presentations and takes about a second on a 2-vCPU host, with
+verification to k = 4 on.
 """
 
 import argparse

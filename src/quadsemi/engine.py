@@ -80,7 +80,7 @@ from .model import (
     monomial_str,
 )
 
-ENGINE_VERSION = "1.3.0"
+ENGINE_VERSION = "1.3.1"
 
 
 @dataclass(frozen=True)
@@ -376,12 +376,15 @@ def _block_walk(c: bytes, rules: _Rules, cap: int, below: dict, seen: set,
 def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
     """Walk the class of c until it shows whether c is singular.
 
-    Returns (mark, seen, blocks) with ``seen`` and ``blocks`` as
-    ``_block_walk`` left them and mark one of:
+    Returns (mark, walked, blocks): ``walked`` lists the words the walk
+    visited one by one, in discovery order, and ``blocks`` is as
+    ``_block_walk`` left it.  Discovery order does not depend on the hash
+    seed, so neither does the order in which ``_hand_down`` passes these
+    words on.  mark is one of:
 
       None      the walk ended: c is the class minimum and no member is a
                 tame witness, so c is singular
-      b""       the class is zero; seen and blocks belong to it
+      b""       the class is zero; walked and blocks belong to it
       a word    c is not singular: some member precedes c or is a tame
                 witness, or the class was settled by an earlier walk
 
@@ -403,34 +406,35 @@ def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
     m = len(u)
     crev = c[::-1]
     urev = crev[1:]
-    seen: set = set()
+    walked: list = []
     blocks: dict = {}
-    for item in _block_walk(c, rules, cap, below, seen, blocks):
+    for item in _block_walk(c, rules, cap, below, set(), blocks):
         if item.__class__ is bytes:
             mark = known.get(item)
             if mark is not None:
-                return mark, seen, blocks
+                return mark, walked, blocks
             for z in zeros:
                 if z in item:
-                    seen.add(item)
-                    return _ZERO_MARK, seen, blocks
+                    walked.append(item)
+                    return _ZERO_MARK, walked, blocks
             if item[::-1] < crev or _top_suffix_witness(item, c, m + 1, top):
-                return c, seen, blocks
+                return c, walked, blocks
+            walked.append(item)
         else:
             cls, b = item
             mark = known.get(cls[0] + b)
             if mark is not None:
-                return mark, seen, blocks
+                return mark, walked, blocks
             if not zero_before[b].isdisjoint(cls[2]):
                 blocks[cls[0] + b] = item
-                return _ZERO_MARK, seen, blocks
+                return _ZERO_MARK, walked, blocks
             if b < last or b == top:
-                return c, seen, blocks
+                return c, walked, blocks
             if b == last and (cls[1][::-1] < urev or cls is not home and any(
                     _top_suffix_witness(d, u, m, top)
                     for words in cls[2].values() for d in words)):
-                return c, seen, blocks
-    return None, seen, blocks
+                return c, walked, blocks
+    return None, walked, blocks
 
 
 def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
@@ -447,9 +451,9 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
     few of them were walked one by one.
 
     Returns the singular words, rtl-ascending, and the list of their
-    classes that were kept, each as (key, minimum, words walked one by one,
-    blocks, size) for ``_hand_down``.  The words kept, counted by class
-    size, together with those of ``below``, stay within
+    classes that were kept, each as (key, minimum, words walked one by one
+    in discovery order, blocks, size) for ``_hand_down``.  The words kept,
+    counted by class size, together with those of ``below``, stay within
     ``_MEMO_WORD_BUDGET``.
     """
     cand_set = frozenset(cands)
@@ -462,33 +466,33 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
         if (c if home is None else home[0] + c[-1]) in known:
             continue
         try:
-            mark, seen, blocks = _settle(c, rules, cap, below, known)
+            mark, walked, blocks = _settle(c, rules, cap, below, known)
         except ResourceExhausted:
             if not below:
                 raise
-            mark, seen, blocks = _settle(c, rules, cap, {}, known)
+            mark, walked, blocks = _settle(c, rules, cap, {}, known)
         if mark is None:
-            size = len(seen) + sum(cls[3] for cls, _b in blocks.values())
+            size = len(walked) + sum(cls[3] for cls, _b in blocks.values())
             if size > cap:
                 raise _exhausted(c, cap)
             for key in blocks:
                 known[key] = c
-            for v in seen:
+            for v in walked:
                 if v in cand_set:
                     known[v] = c
             if size <= room:
                 room -= size
-                kept.append((len(sing) << 8, c, tuple(seen), blocks, size))
+                kept.append((len(sing) << 8, c, walked, blocks, size))
             sing.append(c)
         elif not mark:
             for key in blocks:
                 known[key] = _ZERO_MARK
-            if len(seen) <= room:
-                room -= len(seen)
-                for v in seen:
+            if len(walked) <= room:
+                room -= len(walked)
+                for v in walked:
                     known[v] = _ZERO_MARK
             else:
-                for v in seen:
+                for v in walked:
                     if v in cand_set:
                         known[v] = _ZERO_MARK
     return sing, kept
@@ -502,7 +506,7 @@ def _hand_down(kept: list, heads: set) -> dict:
     """
     letter = _LETTERS
     below = {}
-    for key, c, seen, blocks, size in kept:
+    for key, c, walked, blocks, size in kept:
         if c not in heads:
             continue
         members: dict = {}
@@ -510,7 +514,7 @@ def _hand_down(kept: list, heads: set) -> dict:
             tail = letter[b]
             members.setdefault(b, []).extend(
                 d + tail for words in cls[2].values() for d in words)
-        for v in seen:
+        for v in walked:
             members.setdefault(v[-1], []).append(v)
         cls = (key, c, members, size)
         for words in members.values():

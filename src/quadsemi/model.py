@@ -12,6 +12,11 @@ two distinct monomials (``x_a x_b = x_c x_d``).  Relations are canonicalised
 on construction: the two sides of an equality are oriented so that the left
 side is the larger monomial in the pair order, and the relation list is
 sorted, so presentations with the same content compare and hash equal.
+Each relation computes its sort key and its largest letter once, when it
+is built; every presentation is still sorted and checked for duplicates and
+for letters beyond its alphabet, but on those stored values, so building
+many presentations from shared relation objects costs a sort and a few
+attribute reads each.
 
 No coefficient field ever appears.  Every question answered here (spans,
 dimensions, nilpotency) only depends on which monomial classes are nonzero,
@@ -25,6 +30,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter, eq
 
 Pair = tuple[int, int]
 Word = tuple[int, ...]
@@ -91,7 +97,11 @@ class Relation:
     """One quadratic relation: ``left = 0`` or ``left = right``.
 
     Binomial relations are stored with the larger side (in the pair order)
-    on the left, so rewriting left to right always decreases a word.
+    on the left, so rewriting left to right always decreases a word.  The
+    sort key and the largest letter are computed once, after orientation,
+    and kept as ``_key`` and ``_top`` outside the dataclass fields, so they
+    take no part in ``==``, ``hash`` or ``repr``.  Equal keys mean equal
+    relations.
     """
 
     left: Pair
@@ -107,6 +117,8 @@ class Relation:
                 left, right = self.right, self.left
                 object.__setattr__(self, "left", left)
                 object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_key", self.sort_key())
+        object.__setattr__(self, "_top", self.max_letter())
 
     @classmethod
     def zero(cls, a: int, b: int) -> "Relation":
@@ -165,22 +177,33 @@ class Alphabet:
         return range(1, self.n + 1)
 
 
+_stored_key = attrgetter("_key")
+_stored_top = attrgetter("_top")
+
+
 @dataclass(frozen=True)
 class Presentation:
-    """An alphabet together with a canonically sorted relation tuple."""
+    """An alphabet together with a canonically sorted relation tuple.
+
+    Every presentation is checked on construction: duplicate relations and
+    letters beyond x_n are rejected.  Sorting, the duplicate check (equal
+    adjacent keys) and the alphabet check read the key and top letter each
+    relation stored when it was built.
+    """
 
     alphabet: Alphabet
     relations: tuple
 
     def __post_init__(self):
-        rels = tuple(sorted(self.relations, key=Relation.sort_key))
-        for i in range(1, len(rels)):
-            if rels[i] == rels[i - 1]:
-                raise ValueError(f"duplicate relation {rels[i]}")
+        rels = tuple(sorted(self.relations, key=_stored_key))
+        keys = list(map(_stored_key, rels))
+        if any(map(eq, keys, keys[1:])):
+            dup = next(b for a, b in zip(rels, rels[1:]) if a == b)
+            raise ValueError(f"duplicate relation {dup}")
         n = self.alphabet.n
-        for rel in rels:
-            if rel.max_letter() > n:
-                raise ValueError(f"relation {rel} uses a generator beyond x{n}")
+        if max(map(_stored_top, rels), default=0) > n:
+            bad = next(rel for rel in rels if rel._top > n)
+            raise ValueError(f"relation {bad} uses a generator beyond x{n}")
         object.__setattr__(self, "relations", rels)
 
     @property

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import quadsemi.engine as engine
@@ -318,6 +322,28 @@ class TestSingularBlocks:
         capped = regularity_degree(p, EngineLimits(max_class_size=3000, max_degree=40))
         assert (capped.status, capped.degree) == ("regular", 14)
 
+    def test_capped_answer_does_not_depend_on_the_hash_seed(self):
+        # this census presentation met the cap at degree 4 under one hash
+        # seed and not under others while kept classes were handed on in
+        # set order
+        script = (
+            "from quadsemi.census import enumerate_qhs\n"
+            "from quadsemi.engine import EngineLimits, regularity_degree\n"
+            "from quadsemi.model import presentation_hash\n"
+            "p = next(p for p in enumerate_qhs(5)\n"
+            "         if presentation_hash(p) == '17fea0c40c48dc18')\n"
+            "print(repr(regularity_degree(p, EngineLimits(max_class_size=10, max_degree=12))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        answers = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            answers.add(run.stdout.strip())
+        assert len(answers) == 1, answers
+        assert answers.pop().startswith("RegularityResult(")
+
     def test_exhaustion_reports_its_degree(self, tower5):
         with pytest.raises(ResourceExhausted) as err:
             _chain(tower5, EngineLimits(max_class_size=1, max_degree=40))
@@ -335,9 +361,9 @@ class TestSingularBlocks:
         foreign = (256, b"\x01\x03", {3: [b"\x01\x03"]}, 1)
         below = {b"\x01\x01": home, b"\x01\x03": foreign}
         word = b"\x01\x01\x02"
-        mark, seen, _blocks = engine._settle(word, rules, 10, below, {})
+        mark, walked, _blocks = engine._settle(word, rules, 10, below, {})
         assert mark == word
-        assert not seen
+        assert not walked
 
     def test_a_block_with_an_earlier_letter_precedes_the_word(self):
         # 1 1 3 swaps at its last position to 1 2 2, whose prefix lies in
@@ -350,7 +376,7 @@ class TestSingularBlocks:
         foreign = (256, b"\x01\x02", {2: [b"\x01\x02"]}, 1)
         below = {b"\x01\x01": home, b"\x01\x02": foreign}
         word = b"\x01\x01\x03"
-        mark, _seen, _blocks = engine._settle(word, rules, 10, below, {})
+        mark, _walked, _blocks = engine._settle(word, rules, 10, below, {})
         assert mark == word
         assert minimal_monomial((1, 1, 3), p) == (1, 2, 2)
 

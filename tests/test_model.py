@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadsemi.census import enumerate_presentations
+from quadsemi.census import enumerate_presentations, relation_universe
 from quadsemi.model import (
     Alphabet,
     IdealMode,
@@ -84,6 +85,35 @@ class TestRelation:
         rel = Relation.equal((5, 2), (2, 1))
         assert rel.support == frozenset({(5, 2), (2, 1)})
         assert rel.max_letter() == 5
+
+
+class TestKeyedRelations:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stored_key_and_top_letter_match_the_methods(self, n):
+        for rel in relation_universe(n):
+            built = [rel] if rel.is_zero else [
+                Relation.equal(rel.left, rel.right),
+                Relation.equal(rel.right, rel.left),
+            ]
+            for r in built:
+                assert r == rel
+                assert r._key == r.sort_key() == rel.sort_key()
+                assert r._top == r.max_letter() == rel.max_letter()
+
+    def test_stored_values_are_not_fields(self):
+        rel = Relation.equal((1, 1), (2, 2))
+        assert repr(rel) == "Relation(left=(2, 2), right=(1, 1))"
+        assert hash(rel) == hash(((2, 2), (1, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_relation_order_builds_the_sorted_presentation(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        p = data.draw(st.sampled_from(qhs_census(n)))
+        shuffled = presentation(n, data.draw(st.permutations(p.relations)))
+        assert shuffled == p
+        assert shuffled.relations == p.relations
+        assert presentation_hash(shuffled) == presentation_hash(p)
 
 
 class TestPresentation:
