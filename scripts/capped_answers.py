@@ -1,0 +1,111 @@
+"""Capped regularity answers on a fixed set of presentations, and their differential.
+
+``write OUT`` runs ``regularity_degree`` with max_degree 12 at
+max_class_size 3, 10, 30, 100 and 1000 on every QHS with n <= 4, the tower
+presentations n = 5 and 6 and every 97th n = 5 QHS, and writes the answers
+as JSON.  ``compare OLD NEW`` lists every answer that moved between two
+such files and exits 1 when a conclusive answer changed or an answer
+became less conclusive (an inconclusive answer is more conclusive the
+higher its degree).  Run ``write`` from two checkouts of an engine change,
+each with its own ``src`` on PYTHONPATH, then ``compare`` the files.  The
+full set gives 3685 answers in about 5 s on a 2-vCPU host.
+"""
+
+import argparse
+import json
+import sys
+
+from quadsemi.census import enumerate_qhs
+from quadsemi.constructions import build_regular_qhs
+from quadsemi.engine import ENGINE_VERSION, EngineLimits, regularity_degree
+from quadsemi.model import presentation_hash
+
+CAPS = (3, 10, 30, 100, 1000)
+MAX_DEGREE = 12
+
+
+def cases(max_n: int, towers: list, n5_every: int):
+    """(label, presentation) for the fixed set, or a subset of it."""
+    for n in range(1, max_n + 1):
+        for p in enumerate_qhs(n):
+            yield f"n{n}", p
+    for n in towers:
+        yield f"tower{n}", build_regular_qhs(n)
+    if n5_every:
+        for k, p in enumerate(enumerate_qhs(5)):
+            if k % n5_every == 0:
+                yield f"n5#{k}", p
+
+
+def answer(result) -> str:
+    return f"{result.status}:{result.degree}"
+
+
+def write(args) -> int:
+    answers = {}
+    for label, p in cases(args.max_n, args.towers, args.n5_every):
+        key = presentation_hash(p)
+        for cap in CAPS:
+            limits = EngineLimits(max_class_size=cap, max_degree=MAX_DEGREE)
+            answers[f"{key}@{cap}"] = [label, answer(regularity_degree(p, limits))]
+    with open(args.out, "w") as fh:
+        json.dump({"engine_version": ENGINE_VERSION, "max_degree": MAX_DEGREE,
+                   "answers": answers}, fh, indent=0, sort_keys=True)
+    print(f"{len(answers)} answers written to {args.out}")
+    return 0
+
+
+def _rank(ans: str) -> tuple:
+    status, degree = ans.rsplit(":", 1)
+    return (0, int(degree)) if status == "inconclusive" else (1, 0)
+
+
+def compare(args) -> int:
+    with open(args.old) as fh:
+        old = json.load(fh)["answers"]
+    with open(args.new) as fh:
+        new = json.load(fh)["answers"]
+    bad = 0
+    moved = 0
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            print(f"{key}: only in {'new' if key in new else 'old'}")
+            bad += 1
+            continue
+        (label, a), (_label, b) = old[key], new[key]
+        if a == b:
+            continue
+        moved += 1
+        ra, rb = _rank(a), _rank(b)
+        if ra[0] and rb[0]:
+            verdict = "DISAGREES"
+        elif rb < ra:
+            verdict = "LESS CONCLUSIVE"
+        else:
+            verdict = "more conclusive"
+        bad += verdict != "more conclusive"
+        print(f"{key} ({label}): {a} -> {b}  {verdict}")
+    print(f"{len(old)} answers, {moved} moved, {bad} bad")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    w = sub.add_parser("write", help="compute the answers and write them as JSON")
+    w.add_argument("out")
+    w.add_argument("--max-n", type=int, default=4, help="every QHS with n up to this")
+    w.add_argument("--towers", type=int, nargs="*", default=[5, 6])
+    w.add_argument("--n5-every", type=int, default=97,
+                   help="every k-th n = 5 QHS; 0 for none")
+    w.set_defaults(run=write)
+    c = sub.add_parser("compare", help="list the answers that moved between two files")
+    c.add_argument("old")
+    c.add_argument("new")
+    c.set_defaults(run=compare)
+    args = parser.parse_args(argv)
+    return args.run(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

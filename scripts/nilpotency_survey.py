@@ -1,7 +1,7 @@
 """Survey the tower algebras: regularity degree, nilpotency index, dimensions.
 
 Runs the full coset engine on build_regular_qhs(n) for a range of n and
-prints one row per algebra.  n = 7 takes about 20 s on a 2-vCPU host,
+prints one row per algebra.  n = 7 takes about 12 s on a 2-vCPU host,
 nearly all of it the regularity search; n >= 8 is out of reach at default
 limits and will report inconclusive.
 """

@@ -23,9 +23,13 @@ still walk classes.  Internally letters are bytes (letter i is the byte i)
 and words are byte strings: slicing, substring tests and the reversed-word
 order key ``w[::-1]`` all run at C speed.  Every class walk is one
 depth-first generator, ``_block_walk``; given no classes one degree down
-it yields the root and then each member in discovery order.  Callers that
-take the full closure get the same answer in any order; only the first
-member an early-stopping scan meets (``iter_class``,
+it yields the root and then each member in discovery order: it pops a
+word, scans its positions left to right and takes each pair's
+replacements in relation order.  The scan reads the swaps of a letter
+pair from a table indexed by the two letters, carrying the row of the
+previous letter along the word, so no pair is sliced out or hashed.
+Callers that take the full closure get the same answer in any order; only
+the first member an early-stopping scan meets (``iter_class``,
 ``constructions.power_witness``) depends on it.
 
 Singular sets are found degree by degree with the same blocks.  Singular
@@ -186,22 +190,25 @@ class RegularityResult:
 class _Rules:
     """Presentation compiled to byte tables for one ideal mode.
 
-    ``swap`` and ``zeros`` serve class walks, and zero_before[b] holds the
-    letters a with a b a zero monomial (as byte values) for block walks.
-    ``joins`` and ``zero_after`` serve the class quotient with letters
-    counted from 0: joins[a] lists (b, ((r0, r1), ...)) for each letter b
-    such that a b swaps to r0 r1, and zero_after[a] the letters b with a b
-    a zero monomial.  ``fate`` is None until a class quotient under these
-    rules is seen to end, then ("dies", m) when degree m has no class, or
+    ``pairs`` and ``zeros`` serve class walks: pairs[a][b], for letters
+    as byte values, is the tuple of two-byte words that a b swaps to, or
+    None when no relation moves it.  zero_before[b] holds the letters a
+    with a b a zero monomial (as byte values) for block walks.  ``joins``
+    and ``zero_after`` serve the class quotient with letters counted from
+    0: joins[a] lists (b, ((r0, r1), ...)) for each letter b such that a b
+    swaps to r0 r1, and zero_after[a] the letters b with a b a zero
+    monomial.  ``fate`` is None until a class quotient under these rules
+    is seen to end, then ("dies", m) when degree m has no class, or
     ("repeats", m) when degree m's blocks map equals degree m-1's.
     """
 
-    __slots__ = ("n", "swap", "zeros", "zero_before", "joins", "zero_after", "fate")
+    __slots__ = ("n", "pairs", "zeros", "zero_before", "joins", "zero_after", "fate")
 
     def __init__(self, n, swap, zeros):
         self.n = n
         self.fate = None
-        self.swap = swap
+        self.pairs = tuple(tuple(swap.get(bytes((a, b))) for b in range(n + 1))
+                           for a in range(n + 1))
         self.zeros = zeros
         self.zero_before = tuple(frozenset(z[0] for z in zeros if z[1] == b)
                                  for b in range(n + 1))
@@ -283,11 +290,12 @@ def _top_suffix_witness(v: bytes, w: bytes, m: int, top: int) -> bool:
 
 
 # Budget of words the singular-set steps keep at once: the singular
-# classes handed down from the degree below, and what the current step
-# keeps, namely members of zero classes, so that sibling candidates settle
-# by lookup, and the members of singular classes for the next degree.  A
-# class past the budget is not kept; its candidates are still cached, and
-# its extensions are walked word by word one degree up.
+# classes handed down from the degree below, spelled out word by word, and
+# what the current step keeps, namely members of zero classes, so that
+# sibling candidates settle by lookup, and its singular classes for the
+# next degree, counted by size although only the ones handed down are
+# spelled out.  A class past the budget is not kept; its candidates are
+# still cached, and its extensions are walked word by word one degree up.
 _MEMO_WORD_BUDGET = 2_000_000
 
 _LETTERS = tuple(bytes((x,)) for x in range(256))
@@ -309,8 +317,13 @@ def _block_walk(c: bytes, rules: _Rules, cap: int, below: dict, seen: set,
     only when a word walked alone would take ``seen`` past ``cap``; block
     members are never counted here.
     """
-    swap = rules.swap
-    letter = _LETTERS
+    pairs = rules.pairs
+    if len(c) == 1:
+        # a single letter has no pair to swap; the table scan below would
+        # read it as the pair (c, c)
+        yield c
+        seen.add(c)
+        return
     home = below.get(c[:-1])
     if home is None:
         yield c
@@ -321,16 +334,21 @@ def _block_walk(c: bytes, rules: _Rules, cap: int, below: dict, seen: set,
         yield root
         blocks[home[0] + c[-1]] = root
         stack = [root]
-    inner = len(c) - 2
     while stack:
         item = stack.pop()
         if item.__class__ is bytes:
-            for i in range(inner):
-                reps = swap.get(item[i:i + 2])
+            # row is the table row of the letter before b, so row[b] holds
+            # the swaps of the pair at i - 1; a counter beats enumerate here
+            row = pairs[item[0]]
+            i = 0
+            for b in item[1:-1]:
+                reps = row[b]
+                row = pairs[b]
+                i += 1
                 if reps is None:
                     continue
-                head = item[:i]
-                tail = item[i + 2:]
+                head = item[:i - 1]
+                tail = item[i + 1:]
                 for r in reps:
                     # a swap inside the prefix keeps it in its (unknown) class
                     nb = head + r + tail
@@ -341,16 +359,16 @@ def _block_walk(c: bytes, rules: _Rules, cap: int, below: dict, seen: set,
                         raise _exhausted(c, cap)
                     seen.add(nb)
                     stack.append(nb)
-            reps = swap.get(item[inner:])
+            reps = row[item[-1]]
             if reps is None:
                 continue
-            head = item[:inner]
+            head = item[:-2]
             exits = [head + r for r in reps]
         else:
             cls, b = item
             exits = []
             for e, words in cls[2].items():
-                reps = swap.get(letter[e] + letter[b])
+                reps = pairs[e][b]
                 if reps is not None:
                     exits += [d[:-1] + r for d in words for r in reps]
         for nb in exits:
@@ -731,8 +749,11 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
         cands = [u + x for u in sing for x in letters if u[1:] + x in prev]
         cands.sort(key=_rev)
         # only classes holding a candidate's prefix are handed on: the rest
-        # (about 70% of the words on tower n=7) would only be met from other
-        # classes, and their words are walked one by one instead
+        # (70% of the kept words on tower n=7) would only be met from other
+        # classes, and their words are walked one by one instead.  Handing
+        # every class on spares about a tenth of the n=7 walk, but it more
+        # than doubles the walk's peak memory, and the walks it reorders
+        # can meet the cap where these do not (tower n=6 at cap 1000)
         below = None  # free the old map before the new one is built
         below = _hand_down(kept, {c[:-1] for c in cands})
         del kept

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -86,6 +87,28 @@ class TestCosetClass:
                     assert minimal_monomial(v, p, REDUCED) == v
 
 
+def _reference_walk(word, p):
+    """Depth-first swap closure: pop a word, scan its positions left to right,
+    take each pair's replacements in relation order, yield each new word."""
+    reps: dict = {}
+    for rel in p.relations:
+        if not rel.is_zero:
+            reps.setdefault(rel.left, []).append(rel.right)
+            reps.setdefault(rel.right, []).append(rel.left)
+    yield word
+    seen = {word}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        for i in range(len(w) - 1):
+            for r in reps.get(w[i:i + 2], ()):
+                v = w[:i] + r + w[i + 2:]
+                if v not in seen:
+                    seen.add(v)
+                    yield v
+                    stack.append(v)
+
+
 class TestIterClass:
     def test_streams_whole_class(self, m3):
         got = list(iter_class((1, 1, 1), m3, REDUCED))
@@ -104,6 +127,16 @@ class TestIterClass:
         else:
             pytest.fail("no witness found")
         assert count < 5000
+
+    @pytest.mark.parametrize("name, word, count", [
+        ("tower5", (1,) * 8, 3000), ("m4", (1,) * 8, 790), ("m3", (1,), 1)])
+    def test_discovery_order_is_the_reference_dfs(self, request, name, word, count):
+        # power_witness and every cached lemma-m1 answer depend on the first
+        # member a scan meets, so the order is pinned, not just the set
+        p = request.getfixturevalue(name)
+        got = list(islice(iter_class(word, p, REDUCED), 3000))
+        assert len(got) == count
+        assert got == list(islice(_reference_walk(word, p), 3000))
 
     def test_cap_applies(self):
         p = swap_only(2, ((2, 1), (1, 2)))

@@ -1,5 +1,6 @@
 """Smoke tests for the experiment scripts under ``scripts/``."""
 
+import json
 import os
 import re
 import subprocess
@@ -9,13 +10,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name: str, *args: str) -> str:
+def _run_script(name: str, *args: str, returncode: int = 0) -> str:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, cwd=ROOT,
     )
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == returncode, run.stderr
     return run.stdout
 
 
@@ -33,3 +34,22 @@ def test_nilpotency_survey_reports_the_tower_n5_row():
     assert sorted(rows) == [1, 2, 3, 4, 5]
     _n, _rels, verdict, nilp, total, _time = rows[5]
     assert (verdict, nilp, total) == ("regular:10", "11", "507")
+
+
+def test_capped_answers_writes_and_compares(tmp_path):
+    old = tmp_path / "old.json"
+    out = _run_script("capped_answers.py", "write", str(old),
+                      "--max-n", "2", "--towers", "--n5-every", "0")
+    assert out.startswith("15 answers written")
+    data = json.loads(old.read_text())
+    answers = data["answers"]
+    assert {label for label, _answer in answers.values()} == {"n1", "n2"}
+    assert _run_script("capped_answers.py", "compare", str(old), str(old)).endswith(
+        "15 answers, 0 moved, 0 bad\n")
+    # an answer that falls back to inconclusive must fail the comparison
+    key = next(k for k, (_label, a) in answers.items() if a.startswith("regular:"))
+    answers[key][1] = "inconclusive:0"
+    new = tmp_path / "new.json"
+    new.write_text(json.dumps(data))
+    out = _run_script("capped_answers.py", "compare", str(old), str(new), returncode=1)
+    assert f"{key} (n" in out and "LESS CONCLUSIVE" in out
