@@ -2,8 +2,10 @@
 
 Runs the full coset engine on build_regular_qhs(n) for a range of n and
 prints one row per algebra.  n = 7 takes about 12 s on a 2-vCPU host,
-nearly all of it the regularity search; n >= 8 is out of reach at default
-limits and will report inconclusive.
+nearly all of it the regularity search.  The n = 8 regularity search does
+not finish at desk range, so an n = 8 row is not reached; the n = 8
+Hilbert profile alone (``quadsemi hilbert``) ends at nilpotency index 23
+with total dimension 615,845 in about 6 s and 175 MB on the same host.
 """
 
 import argparse

@@ -13,12 +13,18 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .analysis import hilbert_profile, profile_to_json
 from .cache import resolve_cache
-from .census import census_csv, census_records, enumerate_presentations, enumerate_qhs
+from .census import (
+    CENSUS_LIMITS,
+    census_csv,
+    census_records,
+    enumerate_presentations,
+    enumerate_qhs,
+)
 from .certificates import (
     CertificateKind,
     certificate_to_json,
@@ -152,10 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limits(args) -> EngineLimits:
+def _limits(args, base: EngineLimits = DEFAULT_LIMITS) -> EngineLimits:
     if args.max_class_size is None:
-        return DEFAULT_LIMITS
-    return replace(DEFAULT_LIMITS, max_class_size=args.max_class_size)
+        return base
+    return replace(base, max_class_size=args.max_class_size)
 
 
 def _load(path):
@@ -313,16 +319,8 @@ def _cmd_regularity(args) -> int:
     limits = replace(limits, max_degree=cap)
     parameters = {"cap": cap, "max_class_size": limits.max_class_size}
 
-    def compute() -> dict:
-        r = regularity_degree(p, limits)
-        return {
-            "status": r.status,
-            "degree": r.degree,
-            "nilpotency_bound": r.nilpotency_bound,
-            "detail": r.detail,
-        }
-
-    result = _cached_result(args, presentation_hash(p), "regularity", parameters, compute)
+    result = _cached_result(args, presentation_hash(p), "regularity", parameters,
+                            lambda: asdict(regularity_degree(p, limits)))
     if args.json:
         _print_json(result)
     elif result["status"] == "regular":
@@ -417,7 +415,7 @@ def _cmd_delta_table(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    records = census_records(args.n)
+    records = census_records(args.n, _limits(args, CENSUS_LIMITS))
     text = census_csv(records)
     if args.out is None:
         sys.stdout.write(text)

@@ -17,6 +17,8 @@ which gives every class exactly: zero or not, its size, and its minimum.
 The right-to-left order compares last letters first, so the minimum is the
 class minimum one degree down, extended by the least last letter.  This
 needs neither completion nor confluence of the directed rewriting system.
+A ``MinimalBasis`` carries its degree's blocks map, keyed d*(n+1) + a for
+class d and last letter a, in the letters 1..n that the class walks use.
 
 Tame and singular are properties of class members, so those questions
 still walk classes.  Internally letters are bytes (letter i is the byte i)
@@ -136,32 +138,22 @@ class CosetClass:
 class MinimalBasis:
     """All minimal monomials of one degree, rtl-ascending.
 
-    ``_classes`` carries the class quotient the next degree is built from;
-    it takes no part in comparison.  Which minimal words are singular is
-    answered by ``iter_singular_sets``, not by a basis.
+    The hidden fields hold the class quotient the next degree is built
+    from, and take no part in comparison.  Class ids follow the
+    right-to-left order of the class minima, so id c is the class of
+    minimals[c].  ``_blocks`` maps each nonzero block, keyed d*(n+1) + a
+    for the words u + a with u in class d one degree down, to the id of
+    its class; a missing block is zero.  ``_sizes[c]`` is the exact number
+    of words in class c, and ``_rules`` the presentation and mode they
+    were built under.  Which minimal words are singular is answered by
+    ``iter_singular_sets``, not by a basis.
     """
 
     degree: int
     minimals: tuple
-    _classes: _Classes | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class _Classes:
-    """The nonzero classes of one degree, as blocks of the degree below.
-
-    Class ids follow the right-to-left order of the class minima, so id c
-    is the class of the basis word minimals[c].  ``blocks`` maps each
-    nonzero block, keyed d*n + a for the words u + (a+1) with u in class d
-    one degree down, to the id of its class; a missing block is zero.
-    ``sizes[c]`` is the exact number of words in class c.
-    """
-
-    presentation: Presentation
-    mode: IdealMode
-    degree: int
-    blocks: dict
-    sizes: tuple
+    _rules: _Rules | None = field(default=None, compare=False, repr=False)
+    _blocks: dict | None = field(default=None, compare=False, repr=False)
+    _sizes: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -190,16 +182,16 @@ class RegularityResult:
 class _Rules:
     """Presentation compiled to byte tables for one ideal mode.
 
-    ``pairs`` and ``zeros`` serve class walks: pairs[a][b], for letters
-    as byte values, is the tuple of two-byte words that a b swaps to, or
-    None when no relation moves it.  zero_before[b] holds the letters a
-    with a b a zero monomial (as byte values) for block walks.  ``joins``
-    and ``zero_after`` serve the class quotient with letters counted from
-    0: joins[a] lists (b, ((r0, r1), ...)) for each letter b such that a b
-    swaps to r0 r1, and zero_after[a] the letters b with a b a zero
-    monomial.  ``fate`` is None until a class quotient under these rules
-    is seen to end, then ("dies", m) when degree m has no class, or
-    ("repeats", m) when degree m's blocks map equals degree m-1's.
+    Letters are byte values 1..n throughout.  pairs[a][b] is the tuple of
+    two-byte words that a b swaps to, or None when no relation moves it,
+    and ``zeros`` the zero monomials as two-byte words.  zero_before[b]
+    holds the letters a with a b a zero monomial, for block walks.  The
+    class quotient reads the same facts by first letter: joins[a] lists
+    (b, ((r0, r1), ...)) for each letter b such that a b swaps to r0 r1,
+    and zero_after[a] the letters b with a b a zero monomial.  ``fate`` is
+    None until a class quotient under these rules is seen to end, then
+    ("dies", m) when degree m has no class, or ("repeats", m) when degree
+    m's blocks map equals degree m-1's.
     """
 
     __slots__ = ("n", "pairs", "zeros", "zero_before", "joins", "zero_after", "fate")
@@ -212,16 +204,11 @@ class _Rules:
         self.zeros = zeros
         self.zero_before = tuple(frozenset(z[0] for z in zeros if z[1] == b)
                                  for b in range(n + 1))
-        letters = range(n)
-        self.joins = tuple(
-            tuple((b, tuple((r[0] - 1, r[1] - 1) for r in swap[bytes((a + 1, b + 1))]))
-                  for b in letters if bytes((a + 1, b + 1)) in swap)
-            for a in letters
-        )
-        self.zero_after = tuple(
-            tuple(b for b in letters if bytes((a + 1, b + 1)) in zeros)
-            for a in letters
-        )
+        self.joins = tuple(tuple((b, tuple(map(tuple, reps)))
+                                 for b, reps in enumerate(row) if reps)
+                           for row in self.pairs)
+        self.zero_after = tuple(tuple(z[1] for z in zeros if z[0] == a)
+                                for a in range(n + 1))
 
 
 def _check_alphabet(n: int) -> None:
@@ -608,31 +595,31 @@ def classify(word, p: Presentation, mode: IdealMode = IdealMode.WITHOUT_TOP,
 
 def initial_basis(p: Presentation, mode: IdealMode = IdealMode.FULL) -> MinimalBasis:
     """Degree-1 basis: every letter, each a class of its own."""
-    n = _rules(p, mode).n
-    minimals = tuple((x,) for x in range(1, n + 1))
-    classes = _Classes(p, mode, 1, {a: a for a in range(n)}, (1,) * n)
-    return MinimalBasis(1, minimals, classes)
-
-
-def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
-                   cap: int):
-    """Minimal words and classes one degree above ``classes``.
-
-    Block c*n + b holds the words u + (b+1) with u in class c.  It is zero
-    when a last letter of class c makes a zero monomial with b+1, and it
-    joins block t*n + r1 for every block d*n + a of class c and every swap
-    (a, b) -> (r0, r1), where t is the class of block d*n + r0; a missing
-    t makes it zero.  Zero spreads over its component.  Returns the new
-    rtl-ascending minimal words and their classes; ResourceExhausted when
-    a nonzero class has more than ``cap`` words.  A new degree with no
-    class, or with the same blocks map as ``classes``, sets ``rules.fate``
-    (before the cap is checked) if it is not yet known.
-    """
+    rules = _rules(p, mode)
     n = rules.n
+    minimals = tuple((x,) for x in range(1, n + 1))
+    return MinimalBasis(1, minimals, rules, {a: a - 1 for a in range(1, n + 1)},
+                        (1,) * n)
+
+
+def _quotient_step(basis: MinimalBasis, rules: _Rules, cap: int) -> MinimalBasis:
+    """The basis one degree above ``basis``, from its class quotient alone.
+
+    With w = n + 1, block c*w + b holds the words u + b with u in class c.
+    It is zero when a last letter of class c makes a zero monomial with b,
+    and it joins block t*w + r1 for every block d*w + a of class c and
+    every swap a b -> r0 r1, where t is the class of block d*w + r0; a
+    missing t makes it zero.  Zero spreads over its component.
+    ResourceExhausted when a nonzero class has more than ``cap`` words.  A
+    new degree with no class, or with the same blocks map as ``basis``,
+    sets ``rules.fate`` (before the cap is checked) if it is not yet known.
+    """
+    w = rules.n + 1
     joins = rules.joins
     zero_after = rules.zero_after
-    blocks = classes.blocks
-    parent = list(range(len(minimals) * n))
+    minimals = basis.minimals
+    blocks = basis._blocks
+    parent = list(range(len(minimals) * w))
     zero = []
 
     def find(u):
@@ -641,9 +628,9 @@ def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
         return u
 
     for block, c in blocks.items():
-        a = block % n
+        a = block % w
         below = block - a
-        base = c * n
+        base = c * w
         for b in zero_after[a]:
             zero.append(base + b)
         for b, reps in joins[a]:
@@ -654,7 +641,7 @@ def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
                     zero.append(u)
                     continue
                 ru = find(u)
-                rv = find(t * n + r1)
+                rv = find(t * w + r1)
                 if ru != rv:
                     parent[rv] = ru
     dead = {find(u) for u in zero}
@@ -664,11 +651,11 @@ def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
     new_min = []
     new_size = []
     new_blocks = {}
-    sizes = classes.sizes
-    for b in range(n):
-        letter = (b + 1,)
+    sizes = basis._sizes
+    for b in range(1, w):
+        letter = (b,)
         for c in range(len(minimals)):
-            u = c * n + b
+            u = c * w + b
             r = find(u)
             if r in dead:
                 continue
@@ -680,16 +667,16 @@ def _quotient_step(minimals: tuple, classes: _Classes, rules: _Rules,
             else:
                 new_size[k] += sizes[c]
             new_blocks[u] = k
+    degree = basis.degree + 1
     if rules.fate is None:
         if not new_min:
-            rules.fate = ("dies", classes.degree + 1)
+            rules.fate = ("dies", degree)
         elif new_blocks == blocks:
-            rules.fate = ("repeats", classes.degree + 1)
+            rules.fate = ("repeats", degree)
     for k, size in enumerate(new_size):
         if size > cap:
             raise _exhausted(bytes(new_min[k]), cap)
-    return tuple(new_min), _Classes(classes.presentation, classes.mode,
-                                    classes.degree + 1, new_blocks, tuple(new_size))
+    return MinimalBasis(degree, tuple(new_min), rules, new_blocks, tuple(new_size))
 
 
 def next_minimal_basis(basis: MinimalBasis, p: Presentation,
@@ -705,15 +692,12 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
     """
     rules = _rules(p, mode)
     cap = limits.max_class_size
-    minimals, classes = basis.minimals, basis._classes
-    if (classes is None or classes.degree != basis.degree
-            or classes.mode is not mode or classes.presentation != p):
+    if basis._rules is not rules:
         start = initial_basis(p, mode)
-        minimals, classes = start.minimals, start._classes
-        while classes.degree < basis.degree:
-            minimals, classes = _quotient_step(minimals, classes, rules, cap)
-    minimals, classes = _quotient_step(minimals, classes, rules, cap)
-    return MinimalBasis(basis.degree + 1, minimals, classes)
+        while start.degree < basis.degree:
+            start = _quotient_step(start, rules, cap)
+        basis = start
+    return _quotient_step(basis, rules, cap)
 
 
 def _require_qhs(p: Presentation) -> None:
@@ -785,11 +769,9 @@ def _full_fate(p: Presentation, limits: EngineLimits):
     rules = _rules(p, IdealMode.FULL)
     if rules.fate is None:
         basis = initial_basis(p)
-        minimals, classes = basis.minimals, basis._classes
         try:
-            while rules.fate is None and classes.degree <= limits.max_degree:
-                minimals, classes = _quotient_step(minimals, classes, rules,
-                                                   limits.max_class_size)
+            while rules.fate is None and basis.degree <= limits.max_degree:
+                basis = _quotient_step(basis, rules, limits.max_class_size)
         except ResourceExhausted:
             pass
     return rules.fate

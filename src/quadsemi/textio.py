@@ -77,21 +77,17 @@ def _parse_text(text: str) -> Presentation:
         m = _RELATION_RE.fullmatch(line)
         if m is None:
             raise PresentationSyntaxError(f"malformed relation {line!r}", lineno)
-        a, b = int(m.group(1)), int(m.group(2))
-        for letter in (a, b):
+        letters = [int(g) for g in m.groups() if g is not None]
+        for letter in letters:
             if not 1 <= letter <= n:
                 raise PresentationSyntaxError(
                     f"generator index {letter} exceeds alphabet x1..x{n}", lineno
                 )
-        if m.group(3) is None:
+        a, b = letters[:2]
+        if len(letters) == 2:
             rel = Relation.zero(a, b)
         else:
-            c, d = int(m.group(3)), int(m.group(4))
-            for letter in (c, d):
-                if not 1 <= letter <= n:
-                    raise PresentationSyntaxError(
-                        f"generator index {letter} exceeds alphabet x1..x{n}", lineno
-                    )
+            c, d = letters[2:]
             if (c, d) == (a, b):
                 raise PresentationSyntaxError(
                     "a binomial relation needs two distinct monomials", lineno

@@ -1,8 +1,10 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
+from quadsemi.census import CENSUS_LIMITS, census_csv, census_records
 from quadsemi.cli import main
 from quadsemi.textio import render_presentation
 
@@ -314,6 +316,14 @@ class TestTables:
 
     def test_census_cap(self, capsys):
         assert main(["census", "--n", "7"]) == 1
+
+    def test_census_honours_max_class_size(self, capsys):
+        assert main(["--max-class-size", "1", "census", "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        limits = replace(CENSUS_LIMITS, max_class_size=1)
+        assert out == census_csv(census_records(3, limits))
+        verdicts = [line.split(",")[4] for line in out.splitlines()[1:]]
+        assert sum("inconclusive" in v for v in verdicts) == 12
 
 
 class TestCacheFlow:

@@ -238,7 +238,7 @@ class TestBases:
                     basis = initial_basis(p, mode)
                     for _ in range(5):
                         basis = next_minimal_basis(basis, p, mode)
-                        sizes = basis._classes.sizes
+                        sizes = basis._sizes
                         assert len(sizes) == len(basis.minimals)
                         for w, size in zip(basis.minimals, sizes):
                             assert size == len(coset_class(w, p, mode).members), (p, mode, w)
@@ -251,6 +251,20 @@ class TestBases:
         assert bare == basis
         assert next_minimal_basis(bare, tower5, REDUCED) == next_minimal_basis(
             basis, tower5, REDUCED)
+
+    def test_basis_of_another_presentation_is_rebuilt(self):
+        census = qhs_census(3)
+        third = {}
+        for p in census:
+            basis = initial_basis(p, FULL)
+            for _ in range(2):
+                basis = next_minimal_basis(basis, p, FULL)
+            third[p] = basis
+        fourth = {p: next_minimal_basis(third[p], p, FULL) for p in census}
+        assert len({b.minimals for b in fourth.values()}) > 1
+        for p in census:
+            for q in census:
+                assert next_minimal_basis(third[p], q, FULL) == fourth[q], (p, q)
 
     def test_basis_of_another_mode_is_rebuilt(self, m2):
         full = next_minimal_basis(initial_basis(m2, FULL), m2, FULL)

@@ -58,6 +58,13 @@ def test_letter_out_of_range_reports_line():
     assert "exceeds alphabet" in str(err.value)
 
 
+@pytest.mark.parametrize("relation", ["x2*x4 = x1*x1", "x1*x1 = x4*x2", "x1*x2 = x2*x4"])
+def test_letter_out_of_range_on_either_side(relation):
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation(f"generators 2\n# range\n{relation}\n")
+    assert str(err.value) == "line 3: generator index 4 exceeds alphabet x1..x2"
+
+
 def test_duplicate_after_canonicalisation_rejected():
     text = "generators 2\nx1*x1 = x2*x2\nx2*x2 = x1*x1\n"
     with pytest.raises(PresentationSyntaxError) as err:
