@@ -3,10 +3,11 @@
 ``write OUT`` runs ``regularity_degree`` with max_degree 12 at
 max_class_size 3, 10, 30, 100 and 1000 on every QHS with n <= 4, the tower
 presentations n = 5 and 6 and every 97th n = 5 QHS, and writes the answers
-as JSON.  ``compare OLD NEW`` lists every answer that moved between two
-such files and exits 1 when a conclusive answer changed or an answer
-became less conclusive (an inconclusive answer is more conclusive the
-higher its degree).  Run ``write`` from two checkouts of an engine change,
+as JSON, each with its ``detail`` (for a capped walk, the word where it
+stopped).  ``compare OLD NEW`` lists every answer or detail that moved
+between two such files and exits 1 when a conclusive answer changed or an
+answer became less conclusive (an inconclusive answer is more conclusive
+the higher its degree); a moved detail alone is listed but does not fail.  Run ``write`` from two checkouts of an engine change,
 each with its own ``src`` on PYTHONPATH, then ``compare`` the files.  The
 full set gives 3685 answers in about 5 s on a 2-vCPU host.
 """
@@ -47,7 +48,8 @@ def write(args) -> int:
         key = presentation_hash(p)
         for cap in CAPS:
             limits = EngineLimits(max_class_size=cap, max_degree=MAX_DEGREE)
-            answers[f"{key}@{cap}"] = [label, answer(regularity_degree(p, limits))]
+            result = regularity_degree(p, limits)
+            answers[f"{key}@{cap}"] = [label, answer(result), result.detail]
     with open(args.out, "w") as fh:
         json.dump({"engine_version": ENGINE_VERSION, "max_degree": MAX_DEGREE,
                    "answers": answers}, fh, indent=0, sort_keys=True)
@@ -72,8 +74,11 @@ def compare(args) -> int:
             print(f"{key}: only in {'new' if key in new else 'old'}")
             bad += 1
             continue
-        (label, a), (_label, b) = old[key], new[key]
+        (label, a, detail_a), (_label, b, detail_b) = old[key], new[key]
         if a == b:
+            if detail_a != detail_b:
+                moved += 1
+                print(f"{key} ({label}): {a} detail {detail_a!r} -> {detail_b!r}")
             continue
         moved += 1
         ra, rb = _rank(a), _rank(b)

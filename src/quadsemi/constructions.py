@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DEFAULT_LIMITS, EngineLimits, _block_walk, _rules
+from .engine import DEFAULT_LIMITS, EngineLimits, _first_member_ending_in
 from .model import (
     IdealMode,
     Presentation,
@@ -139,24 +139,18 @@ def power_witness(p: Presentation, q: int | None = None,
                   limits: EngineLimits = DEFAULT_LIMITS) -> Word | None:
     """Member of the reduced-ideal class of x1^q ending in the top letter.
 
-    Scans the engine's class walk (depth-first, root first, each member in
-    discovery order) and stops at the first such member, because at
-    moderate n the full class is far larger than the distance to a
-    witness.  The scan reads the walk's byte words and converts only the
-    witness.  Returns None when the closure is exhausted without one.  The
-    default power is witness_power(n).
+    Takes the first such member of the engine's class walk (depth-first,
+    root first, each member in discovery order), because at moderate n the
+    full class is far larger than the distance to a witness.  Returns None
+    when the closure is exhausted without one.  The default power is
+    witness_power(n).
     """
     n = p.alphabet.n
     if q is None:
         q = witness_power(n)
     if q < 1:
         raise ValueError("the power must be at least 1")
-    rules = _rules(p, IdealMode.WITHOUT_TOP)
-    cap = limits.max_class_size
-    for member in _block_walk(bytes((1,)) * q, rules, cap, {}, set(), {}):
-        if member[-1] == n:
-            return tuple(member)
-    return None
+    return _first_member_ending_in((1,) * q, n, p, IdealMode.WITHOUT_TOP, limits)
 
 
 def wisliceny_count(n: int) -> int:

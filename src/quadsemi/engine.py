@@ -21,18 +21,21 @@ A ``MinimalBasis`` carries its degree's blocks map, keyed d*(n+1) + a for
 class d and last letter a, in the letters 1..n that the class walks use.
 
 Tame and singular are properties of class members, so those questions
-still walk classes.  Internally letters are bytes (letter i is the byte i)
-and words are byte strings: slicing, substring tests and the reversed-word
-order key ``w[::-1]`` all run at C speed.  Every class walk is one
+still walk classes.  Internally a word is a packed int: with
+K = n.bit_length() bits per letter, letter j of the word (counting from
+0 at the left) sits in bits K*j .. K*j+K-1.  Letters are never 0, so the
+top digit gives the degree, and for words of one degree integer order is
+the right-to-left order.  A swap at position j adds delta << K*j, with
+delta read from a table indexed by the pair code a | b << K; the prefix
+is a mask and the last letter a shift.  Every class walk is one
 depth-first generator, ``_block_walk``; given no classes one degree down
 it yields the root and then each member in discovery order: it pops a
 word, scans its positions left to right and takes each pair's
-replacements in relation order.  The scan reads the swaps of a letter
-pair from a table indexed by the two letters, carrying the row of the
-previous letter along the word, so no pair is sliced out or hashed.
-Callers that take the full closure get the same answer in any order; only
-the first member an early-stopping scan meets (``iter_class``,
-``constructions.power_witness``) depends on it.
+replacements in relation order.  Callers that take the full closure get
+the same answer in any order; only the first member an early-stopping
+scan meets (``iter_class``, and ``_first_member_ending_in`` for
+``constructions.power_witness``) depends on it.  The public functions
+take and return words as tuples of letters.
 
 Singular sets are found degree by degree with the same blocks.  Singular
 words are closed under taking factors (the right-to-left order is
@@ -180,13 +183,16 @@ class RegularityResult:
 
 
 class _Rules:
-    """Presentation compiled to byte tables for one ideal mode.
+    """Presentation compiled to tables for one ideal mode.
 
-    Letters are byte values 1..n throughout.  pairs[a][b] is the tuple of
-    two-byte words that a b swaps to, or None when no relation moves it,
-    and ``zeros`` the zero monomials as two-byte words.  zero_before[b]
-    holds the letters a with a b a zero monomial, for block walks.  The
-    class quotient reads the same facts by first letter: joins[a] lists
+    Letters are 1..n and words are packed with ``k`` = n.bit_length() bits
+    per letter.  swaps[a | b << k] is the tuple of deltas
+    (r0 - a) + ((r1 - b) << k), one for each two-letter word r0 r1 that a b
+    swaps to, in relation order, or None when no relation moves a b; adding
+    delta << k*j to a word swaps its pair at position j.  ``zero_codes``
+    holds the pair codes of the zero monomials, and zero_before[b] the
+    letters a with a b a zero monomial, for block walks.  The class
+    quotient reads the same facts by first letter: joins[a] lists
     (b, ((r0, r1), ...)) for each letter b such that a b swaps to r0 r1,
     and zero_after[a] the letters b with a b a zero monomial.  ``fate`` is
     None until a class quotient under these rules is seen to end, then
@@ -194,19 +200,22 @@ class _Rules:
     m's blocks map equals degree m-1's.
     """
 
-    __slots__ = ("n", "pairs", "zeros", "zero_before", "joins", "zero_after", "fate")
+    __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
+                 "zero_after", "fate")
 
     def __init__(self, n, swap, zeros):
         self.n = n
+        self.k = k = n.bit_length()
         self.fate = None
-        self.pairs = tuple(tuple(swap.get(bytes((a, b))) for b in range(n + 1))
-                           for a in range(n + 1))
-        self.zeros = zeros
+        swaps = [None] * (1 << 2 * k)
+        for (a, b), reps in swap.items():
+            swaps[a | b << k] = tuple(r0 - a + (r1 - b << k) for r0, r1 in reps)
+        self.swaps = tuple(swaps)
+        self.zero_codes = frozenset(a | b << k for a, b in zeros)
         self.zero_before = tuple(frozenset(z[0] for z in zeros if z[1] == b)
                                  for b in range(n + 1))
-        self.joins = tuple(tuple((b, tuple(map(tuple, reps)))
-                                 for b, reps in enumerate(row) if reps)
-                           for row in self.pairs)
+        self.joins = tuple(tuple((b, swap[a, b]) for b in range(n + 1) if (a, b) in swap)
+                           for a in range(n + 1))
         self.zero_after = tuple(tuple(z[1] for z in zeros if z[0] == a)
                                 for a in range(n + 1))
 
@@ -232,48 +241,84 @@ def _rules(p: Presentation, mode: IdealMode) -> _Rules:
     for rel in p.relations:
         if rel.is_zero:
             continue
-        left = bytes(rel.left)
-        right = bytes(rel.right)
-        swap.setdefault(left, []).append(right)
-        swap.setdefault(right, []).append(left)
-    swap = {k: tuple(v) for k, v in swap.items()}
-    zeros = tuple(sorted(bytes(q) for q in zero_pairs))
-    return _Rules(n, swap, zeros)
+        swap.setdefault(rel.left, []).append(rel.right)
+        swap.setdefault(rel.right, []).append(rel.left)
+    swap = {key: tuple(v) for key, v in swap.items()}
+    return _Rules(n, swap, tuple(sorted(zero_pairs)))
 
 
-def _encode_word(word, p: Presentation) -> bytes:
+def _pack(word, k: int) -> int:
+    """The packed int of a word of letters, k bits per letter."""
+    w = 0
+    for x in reversed(word):
+        w = w << k | x
+    return w
+
+
+def _unpack(w: int, k: int) -> Word:
+    """The letters of a packed word."""
+    digit = (1 << k) - 1
+    out = []
+    while w:
+        out.append(w & digit)
+        w >>= k
+    return tuple(out)
+
+
+def _encode_word(word, rules: _Rules) -> int:
     if len(word) == 0:
         raise ValueError("the empty word has no coset class")
-    n = p.alphabet.n
+    n = rules.n
     for x in word:
         if not isinstance(x, int) or not 1 <= x <= n:
             raise ValueError(f"letter {x!r} outside alphabet 1..{n}")
-    return bytes(word)
+    return _pack(word, rules.k)
 
 
-def _rev(b: bytes) -> bytes:
-    return b[::-1]
-
-
-def _exhausted(w: bytes, cap: int) -> ResourceExhausted:
+def _exhausted(word: Word, cap: int) -> ResourceExhausted:
     return ResourceExhausted(
-        f"coset class of {monomial_str(tuple(w))} exceeded {cap} members",
-        word=tuple(w),
-        degree=len(w),
+        f"coset class of {monomial_str(word)} exceeded {cap} members",
+        word=word,
+        degree=len(word),
     )
 
 
-def _top_suffix_witness(v: bytes, w: bytes, m: int, top: int) -> bool:
-    """True when v carries the top letter at a position after which v and w agree."""
-    if top not in v:
-        return False
-    s = 0
-    while s < m and v[m - 1 - s] == w[m - 1 - s]:
-        s += 1
-    start = m - s - 1
-    if start < 0:
-        start = 0
-    return top in v[start:]
+def _holds_zero(w: int, rules: _Rules) -> bool:
+    """True when the packed word w has a zero monomial as an adjacent factor."""
+    codes = rules.zero_codes
+    k = rules.k
+    pair = (1 << 2 * k) - 1
+    while w >> k:
+        if w & pair in codes:
+            return True
+        w >>= k
+    return False
+
+
+def _top_above(w: int, k: int, top: int) -> int:
+    """Position of the last top letter in the packed word w, or -1 when it has none."""
+    digit = (1 << k) - 1
+    last = -1
+    j = 0
+    while w:
+        if w & digit == top:
+            last = j
+        w >>= k
+        j += 1
+    return last
+
+
+def _top_suffix_witness(v: int, w: int, k: int, top: int, above: int) -> bool:
+    """True when v carries the top letter at a position after which v and w agree.
+
+    v and w are packed words of one degree and ``above`` is
+    ``_top_above(w, k, top)``.  The highest digit h where v and w differ
+    must be v's top letter, or w must hold the top letter above it.  When
+    v equals w, h is taken as 0, and the test asks whether w holds the top
+    letter at all.
+    """
+    h = (((v ^ w) | 1).bit_length() - 1) // k
+    return (v >> k * h) & ((1 << k) - 1) == top or above > h
 
 
 # Budget of words the singular-set steps keep at once: the singular
@@ -285,101 +330,127 @@ def _top_suffix_witness(v: bytes, w: bytes, m: int, top: int) -> bool:
 # still cached, and its extensions are walked word by word one degree up.
 _MEMO_WORD_BUDGET = 2_000_000
 
-_LETTERS = tuple(bytes((x,)) for x in range(256))
-_ZERO_MARK = b""
+# the mark of a zero class in ``_settle``; packed words are positive
+_ZERO_MARK = 0
 
 
-def _block_walk(c: bytes, rules: _Rules, cap: int, below: dict, seen: set,
-                blocks: dict):
-    """Yield the class of c in discovery order, as blocks and single words.
+def _block_walk(c: int, rules: _Rules, cap: int, below: dict, seen: set,
+                blocks: dict, zero: list | None = None):
+    """Yield the class of the packed word c in discovery order, as blocks and single words.
 
     ``below`` maps each member of a known class one degree down to that
-    class, a tuple (key, minimum, members by last letter, size) with key
-    a multiple of 256.  A word u + x with u in such a class is never
-    yielded alone: its block, the pair (class, x) under the key class
-    key + x, is yielded once.  Swaps inside a block only move u within its
-    class, so a block is left only by a swap at the last position.  Other
-    words are yielded one by one, each before it joins ``seen`` (a block
-    joins ``blocks`` after it is yielded).  ResourceExhausted is raised
-    only when a word walked alone would take ``seen`` past ``cap``; block
-    members are never counted here.
+    class, a tuple (key, minimum, members by last letter, size) with key a
+    negative multiple of 256, so that no block key is a packed word.  A
+    word u + x with u in such a class is never yielded alone: its block,
+    the pair (class, x) under the key class key + x, is yielded once.
+    Swaps inside a block only move u within its class, so a block is left
+    only by a swap at the last position.  Other words are yielded one by
+    one, each before it joins ``seen`` (a block joins ``blocks`` after it
+    is yielded).  ResourceExhausted is raised only when a word walked alone
+    would take ``seen`` past ``cap``; block members are never counted here.
+
+    Given a list ``zero``, the walk stops at the first word it yields that
+    has a zero monomial as a factor, after appending it to ``zero``; the
+    caller stops likewise at the first zero block.  Until then every word
+    and block the walk moves on from is free of zero monomials (the classes
+    in ``below`` are nonzero), and a swap at position j changes only the
+    pairs at j - 1, j and j + 1, so only those are checked.
     """
-    pairs = rules.pairs
-    if len(c) == 1:
-        # a single letter has no pair to swap; the table scan below would
-        # read it as the pair (c, c)
+    k = rules.k
+    swaps = rules.swaps
+    last = (c.bit_length() - 1) // k * k  # the shift of the last letter
+    if not last:
         yield c
         seen.add(c)
         return
-    home = below.get(c[:-1])
+    mask = (1 << last) - 1  # the prefix
+    top = last - k  # the shift of the last pair
+    pair = (1 << 2 * k) - 1
+    inner = range(0, top, k)
+    # zero codes have two nonzero letters, so the empty digits that
+    # (nb << k) >> s brings in at either end of the word match none
+    codes = rules.zero_codes if zero is not None else None
+    home = below.get(c & mask)
     if home is None:
+        if codes and _holds_zero(c, rules):
+            zero.append(c)
+            yield c
+            return
         yield c
         seen.add(c)
         stack = [c]
     else:
-        root = (home, c[-1])
+        x = c >> last
+        root = (home, x)
         yield root
-        blocks[home[0] + c[-1]] = root
+        blocks[home[0] + x] = root
         stack = [root]
     while stack:
         item = stack.pop()
-        if item.__class__ is bytes:
-            # row is the table row of the letter before b, so row[b] holds
-            # the swaps of the pair at i - 1; a counter beats enumerate here
-            row = pairs[item[0]]
-            i = 0
-            for b in item[1:-1]:
-                reps = row[b]
-                row = pairs[b]
-                i += 1
-                if reps is None:
+        if item.__class__ is int:
+            for s in inner:
+                ds = swaps[(item >> s) & pair]
+                if ds is None:
                     continue
-                head = item[:i - 1]
-                tail = item[i + 1:]
-                for r in reps:
+                for d in ds:
                     # a swap inside the prefix keeps it in its (unknown) class
-                    nb = head + r + tail
+                    nb = item + (d << s)
                     if nb in seen:
                         continue
+                    if codes:
+                        window = (nb << k) >> s
+                        if (window & pair in codes or (window >> k) & pair in codes
+                                or (window >> 2 * k) & pair in codes):
+                            zero.append(nb)
+                            yield nb
+                            return
                     yield nb
                     if len(seen) >= cap:
-                        raise _exhausted(c, cap)
+                        raise _exhausted(_unpack(c, k), cap)
                     seen.add(nb)
                     stack.append(nb)
-            reps = row[item[-1]]
-            if reps is None:
+            ds = swaps[item >> top]
+            if ds is None:
                 continue
-            head = item[:-2]
-            exits = [head + r for r in reps]
+            exits = [item + (d << top) for d in ds]
         else:
             cls, b = item
             exits = []
             for e, words in cls[2].items():
-                reps = pairs[e][b]
-                if reps is not None:
-                    exits += [d[:-1] + r for d in words for r in reps]
+                ds = swaps[e | b << k]
+                if ds is not None:
+                    moves = [(b << last) + (d << top) for d in ds]
+                    exits += [u + move for u in words for move in moves]
         for nb in exits:
-            cls = below.get(nb[:-1]) if below else None
+            cls = below.get(nb & mask) if below else None
             if cls is None:
                 if nb in seen:
                     continue
+                if codes:
+                    window = (nb << k) >> top
+                    if (window & pair in codes or (window >> k) & pair in codes
+                            or (window >> 2 * k) & pair in codes):
+                        zero.append(nb)
+                        yield nb
+                        return
                 yield nb
                 if len(seen) >= cap:
-                    raise _exhausted(c, cap)
+                    raise _exhausted(_unpack(c, k), cap)
                 seen.add(nb)
                 stack.append(nb)
             else:
-                key = cls[0] + nb[-1]
+                x = nb >> last
+                key = cls[0] + x
                 if key in blocks:
                     continue
-                block = (cls, nb[-1])
+                block = (cls, x)
                 yield block
                 blocks[key] = block
                 stack.append(block)
 
 
-def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
-    """Walk the class of c until it shows whether c is singular.
+def _settle(c: int, rules: _Rules, cap: int, below: dict, known: dict):
+    """Walk the class of the packed word c until it shows whether c is singular.
 
     Returns (mark, walked, blocks): ``walked`` lists the words the walk
     visited one by one, in discovery order, and ``blocks`` is as
@@ -389,12 +460,13 @@ def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
 
       None      the walk ended: c is the class minimum and no member is a
                 tame witness, so c is singular
-      b""       the class is zero; walked and blocks belong to it
+      0         the class is zero (``_ZERO_MARK``); walked and blocks
+                belong to it
       a word    c is not singular: some member precedes c or is a tame
                 witness, or the class was settled by an earlier walk
 
     ``known`` maps words and block keys met by earlier walks of the same
-    degree to b"" (zero class) or to their class minimum.  A block is
+    degree to 0 (zero class) or to their class minimum.  A block is
     settled without visiting its members: it is zero when a last letter of
     its class makes a zero monomial with its letter; its least word is the
     class minimum extended by its letter; and it holds a tame witness when
@@ -402,27 +474,32 @@ def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
     not the class of c's prefix (which is singular), and some member of
     its class is a tame witness for that prefix.
     """
-    zeros = rules.zeros
+    k = rules.k
+    digit = (1 << k) - 1
     top = rules.n
     zero_before = rules.zero_before
-    u = c[:-1]
-    last = c[-1]
+    shift = (c.bit_length() - 1) // k * k
+    u = c & ((1 << shift) - 1)
+    last = c >> shift
     home = below.get(u)
-    m = len(u)
-    crev = c[::-1]
-    urev = crev[1:]
+    c_top = _top_above(c, k, top)
+    u_top = c_top if last != top else _top_above(u, k, top)
     walked: list = []
     blocks: dict = {}
-    for item in _block_walk(c, rules, cap, below, set(), blocks):
-        if item.__class__ is bytes:
+    zero: list = []
+    for item in _block_walk(c, rules, cap, below, set(), blocks, zero):
+        if item.__class__ is int:
             mark = known.get(item)
             if mark is not None:
                 return mark, walked, blocks
-            for z in zeros:
-                if z in item:
-                    walked.append(item)
-                    return _ZERO_MARK, walked, blocks
-            if item[::-1] < crev or _top_suffix_witness(item, c, m + 1, top):
+            if zero:
+                walked.append(item)
+                return _ZERO_MARK, walked, blocks
+            if item < c:
+                return c, walked, blocks
+            # _top_suffix_witness(item, c, k, top, c_top), inlined
+            h = (((item ^ c) | 1).bit_length() - 1) // k
+            if (item >> k * h) & digit == top or c_top > h:
                 return c, walked, blocks
             walked.append(item)
         else:
@@ -435,8 +512,8 @@ def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
                 return _ZERO_MARK, walked, blocks
             if b < last or b == top:
                 return c, walked, blocks
-            if b == last and (cls[1][::-1] < urev or cls is not home and any(
-                    _top_suffix_witness(d, u, m, top)
+            if b == last and (cls[1] < u or cls is not home and any(
+                    _top_suffix_witness(d, u, k, top, u_top)
                     for words in cls[2].values() for d in words)):
                 return c, walked, blocks
     return None, walked, blocks
@@ -445,30 +522,34 @@ def _settle(c: bytes, rules: _Rules, cap: int, below: dict, known: dict):
 def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
     """Singular words among ``cands``, and their classes for the next degree.
 
-    ``cands`` are words of one degree in rtl-ascending order and ``below``
-    holds the known classes one degree down (see ``_block_walk``); with
-    none known every class is walked word by word.  A class settled as
-    zero or singular settles every later candidate that its walk met.  A
-    walk that meets the cap is repeated word by word before the cap is
-    reported: blocks change the order in which a class is met, and the
-    word walk may reach an exit within the cap first.  A class walked to
-    the end with more than ``cap`` words raises ResourceExhausted, however
-    few of them were walked one by one.
+    ``cands`` are packed words of one degree in ascending (rtl) order and
+    ``below`` holds the known classes one degree down (see
+    ``_block_walk``); with none known every class is walked word by word.
+    A class settled as zero or singular settles every later candidate that
+    its walk met.  A walk that meets the cap is repeated word by word
+    before the cap is reported: blocks change the order in which a class
+    is met, and the word walk may reach an exit within the cap first.  A
+    class walked to the end with more than ``cap`` words raises
+    ResourceExhausted, however few of them were walked one by one.
 
-    Returns the singular words, rtl-ascending, and the list of their
-    classes that were kept, each as (key, minimum, words walked one by one
-    in discovery order, blocks, size) for ``_hand_down``.  The words kept,
+    Returns the singular words, ascending, and the list of their classes
+    that were kept, each as (key, minimum, words walked one by one in
+    discovery order, blocks, size) for ``_hand_down``.  The words kept,
     counted by class size, together with those of ``below``, stay within
     ``_MEMO_WORD_BUDGET``.
     """
+    if not cands:
+        return [], []
+    shift = (cands[0].bit_length() - 1) // rules.k * rules.k
+    mask = (1 << shift) - 1
     cand_set = frozenset(cands)
     known: dict = {}
     room = _MEMO_WORD_BUDGET - len(below)
     sing = []
     kept = []
     for c in cands:
-        home = below.get(c[:-1])
-        if (c if home is None else home[0] + c[-1]) in known:
+        home = below.get(c & mask)
+        if (c if home is None else home[0] + (c >> shift)) in known:
             continue
         try:
             mark, walked, blocks = _settle(c, rules, cap, below, known)
@@ -479,7 +560,7 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
         if mark is None:
             size = len(walked) + sum(cls[3] for cls, _b in blocks.values())
             if size > cap:
-                raise _exhausted(c, cap)
+                raise _exhausted(_unpack(c, rules.k), cap)
             for key in blocks:
                 known[key] = c
             for v in walked:
@@ -487,7 +568,7 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
                     known[v] = c
             if size <= room:
                 room -= size
-                kept.append((len(sing) << 8, c, walked, blocks, size))
+                kept.append((~len(sing) << 8, c, walked, blocks, size))
             sing.append(c)
         elif not mark:
             for key in blocks:
@@ -503,24 +584,24 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
     return sing, kept
 
 
-def _hand_down(kept: list, heads: set) -> dict:
+def _hand_down(kept: list, heads: set, k: int) -> dict:
     """Map each member of the kept classes whose minimum is in ``heads`` to its class.
 
     ``kept`` holds (key, minimum, single words, blocks, size) as the step
     left them; a class is spelled out into its members here, once.
     """
-    letter = _LETTERS
     below = {}
     for key, c, walked, blocks, size in kept:
         if c not in heads:
             continue
+        shift = (c.bit_length() - 1) // k * k
         members: dict = {}
         for cls, b in blocks.values():
-            tail = letter[b]
+            tail = b << shift
             members.setdefault(b, []).extend(
                 d + tail for words in cls[2].values() for d in words)
         for v in walked:
-            members.setdefault(v[-1], []).append(v)
+            members.setdefault(v >> shift, []).append(v)
         cls = (key, c, members, size)
         for words in members.values():
             for v in words:
@@ -528,20 +609,26 @@ def _hand_down(kept: list, heads: set) -> dict:
     return below
 
 
+def _closure(word, p: Presentation, mode: IdealMode, limits: EngineLimits):
+    """(rules, packed word, packed members of its class), or None members when zero."""
+    rules = _rules(p, mode)
+    w = _encode_word(word, rules)
+    seen: set = set()
+    zero: list = []
+    for _v in _block_walk(w, rules, limits.max_class_size, {}, seen, {}, zero):
+        pass
+    return rules, w, None if zero else seen
+
+
 def coset_class(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
                 limits: EngineLimits = DEFAULT_LIMITS) -> CosetClass:
     """Full swap closure of a word, with the zero verdict folded in."""
-    w = _encode_word(word, p)
-    rules = _rules(p, mode)
-    zeros = rules.zeros
-    seen: set = set()
-    for v in _block_walk(w, rules, limits.max_class_size, {}, seen, {}):
-        for z in zeros:
-            if z in v:
-                return CosetClass(len(w), None, None)
-    members = frozenset(map(tuple, seen))
-    minimal = tuple(min(seen, key=_rev))
-    return CosetClass(len(w), members, minimal)
+    rules, w, seen = _closure(word, p, mode, limits)
+    if seen is None:
+        return CosetClass(len(word), None, None)
+    k = rules.k
+    return CosetClass(len(word), frozenset(_unpack(v, k) for v in seen),
+                      _unpack(min(seen), k))
 
 
 def minimal_monomial(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
@@ -561,10 +648,29 @@ def iter_class(word, p: Presentation, mode: IdealMode = IdealMode.FULL,
     stop early instead of materializing a class that may be millions of
     words.  Raises ResourceExhausted past the class-size cap.
     """
-    w = _encode_word(word, p)
     rules = _rules(p, mode)
+    k = rules.k
+    w = _encode_word(word, rules)
     for v in _block_walk(w, rules, limits.max_class_size, {}, set(), {}):
-        yield tuple(v)
+        yield _unpack(v, k)
+
+
+def _first_member_ending_in(word, x: int, p: Presentation,
+                           mode: IdealMode = IdealMode.FULL,
+                           limits: EngineLimits = DEFAULT_LIMITS) -> Word | None:
+    """First member of the word's class, in ``iter_class`` order, whose last letter is x.
+
+    None when the closure is exhausted without one; ResourceExhausted past
+    the class-size cap.
+    """
+    rules = _rules(p, mode)
+    k = rules.k
+    w = _encode_word(word, rules)
+    shift = (len(word) - 1) * k
+    for v in _block_walk(w, rules, limits.max_class_size, {}, set(), {}):
+        if v >> shift == x:
+            return _unpack(v, k)
+    return None
 
 
 def classify(word, p: Presentation, mode: IdealMode = IdealMode.WITHOUT_TOP,
@@ -578,18 +684,16 @@ def classify(word, p: Presentation, mode: IdealMode = IdealMode.WITHOUT_TOP,
     """
     if mode is not IdealMode.WITHOUT_TOP:
         raise ValueError("classification is defined against the reduced ideal (WITHOUT_TOP)")
-    cls = coset_class(word, p, mode, limits)
-    w = tuple(word)
-    if cls.is_zero:
+    rules, w, seen = _closure(word, p, mode, limits)
+    if seen is None:
         return Classification.ZERO
-    if cls.minimal != w:
+    if min(seen) != w:
         return Classification.NON_MINIMAL
-    rules = _rules(p, mode)
-    wb = bytes(w)
-    m = len(wb)
-    for member in cls.members:
-        if _top_suffix_witness(bytes(member), wb, m, rules.n):
-            return Classification.TAME
+    k = rules.k
+    top = rules.n
+    above = _top_above(w, k, top)
+    if any(_top_suffix_witness(v, w, k, top, above) for v in seen):
+        return Classification.TAME
     return Classification.SINGULAR
 
 
@@ -675,7 +779,7 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, cap: int) -> MinimalBasis
             rules.fate = ("repeats", degree)
     for k, size in enumerate(new_size):
         if size > cap:
-            raise _exhausted(bytes(new_min[k]), cap)
+            raise _exhausted(new_min[k], cap)
     return MinimalBasis(degree, tuple(new_min), rules, new_blocks, tuple(new_size))
 
 
@@ -721,17 +825,22 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     _require_qhs(p)
     rules = _rules(p, IdealMode.WITHOUT_TOP)
     cap = limits.max_class_size
-    letters = _LETTERS[1:rules.n + 1]
+    k = rules.k
+    letters = range(1, rules.n + 1)
+    # a single letter packs to itself, and each singular letter is a class
+    # of its own
     sing = list(letters[:-1])
-    # each singular letter is a class of its own
-    kept = [(k << 8, w, (w,), {}, 1) for k, w in enumerate(sing[:_MEMO_WORD_BUDGET])]
-    yield 1, tuple(map(tuple, sing))
+    kept = [(~i << 8, w, (w,), {}, 1) for i, w in enumerate(sing[:_MEMO_WORD_BUDGET])]
+    yield 1, tuple((w,) for w in sing)
     degree = 1
     while sing and degree < limits.max_degree:
+        shift = k * degree  # where the new last letter goes
         degree += 1
         prev = set(sing)
-        cands = [u + x for u in sing for x in letters if u[1:] + x in prev]
-        cands.sort(key=_rev)
+        ends = [(x << shift, x << shift - k) for x in letters]
+        cands = [u + end for u in sing for end, suffix_end in ends
+                 if (u >> k) + suffix_end in prev]
+        cands.sort()
         # only classes holding a candidate's prefix are handed on: the rest
         # (70% of the kept words on tower n=7) would only be met from other
         # classes, and their words are walked one by one instead.  Handing
@@ -739,10 +848,11 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
         # than doubles the walk's peak memory, and the walks it reorders
         # can meet the cap where these do not (tower n=6 at cap 1000)
         below = None  # free the old map before the new one is built
-        below = _hand_down(kept, {c[:-1] for c in cands})
+        mask = (1 << shift) - 1
+        below = _hand_down(kept, {c & mask for c in cands}, k)
         del kept
         sing, kept = _singular_step(cands, rules, cap, below)
-        yield degree, tuple(map(tuple, sing))
+        yield degree, tuple(_unpack(w, k) for w in sing)
 
 
 def singular_monomials(p: Presentation, m: int,

@@ -141,6 +141,7 @@ class TestWitness:
         # change that moves a witness must bump the version
         assert power_witness(tower5) == (5, 1, 1, 3, 2, 5, 5, 5)
         assert power_witness(build_regular_qhs(6)) == (2, 4, 6, 4, 3, 5, 3, 2, 6, 6, 6)
+        assert power_witness(build_regular_qhs(7)) == (5, 6, 6, 4, 7, 3, 5, 2, 5, 1, 7, 7, 7)
 
     def test_unreachable_power_returns_none(self, tower5):
         assert power_witness(tower5, 1) is None

@@ -40,6 +40,11 @@ def swap_only(n, *pairs):
     return presentation(n, [Relation.equal(a, b) for a, b in pairs])
 
 
+def _packed(rules, *letters):
+    """A word as the engine's walks hold it under ``rules``."""
+    return engine._pack(letters, rules.k)
+
+
 class TestCosetClass:
     def test_reduced_class_of_square(self, m2):
         cls = coset_class((1, 1), m2, REDUCED)
@@ -404,10 +409,10 @@ class TestSingularBlocks:
         # where it differs from the prefix 1 1, so 1 1 2 is tame, although
         # the block (class of 1 3, letter 2) is settled without a word walk.
         rules = engine._rules(swap_only(3, ((1, 2), (3, 2))), FULL)
-        home = (0, b"\x01\x01", {1: [b"\x01\x01"]}, 1)
-        foreign = (256, b"\x01\x03", {3: [b"\x01\x03"]}, 1)
-        below = {b"\x01\x01": home, b"\x01\x03": foreign}
-        word = b"\x01\x01\x02"
+        home = (~0 << 8, _packed(rules, 1, 1), {1: [_packed(rules, 1, 1)]}, 1)
+        foreign = (~1 << 8, _packed(rules, 1, 3), {3: [_packed(rules, 1, 3)]}, 1)
+        below = {_packed(rules, 1, 1): home, _packed(rules, 1, 3): foreign}
+        word = _packed(rules, 1, 1, 2)
         mark, walked, _blocks = engine._settle(word, rules, 10, below, {})
         assert mark == word
         assert not walked
@@ -419,10 +424,10 @@ class TestSingularBlocks:
         # in the walk shows it: the block's only exit leads back to the root.
         p = swap_only(4, ((1, 3), (2, 2)))
         rules = engine._rules(p, FULL)
-        home = (0, b"\x01\x01", {1: [b"\x01\x01"]}, 1)
-        foreign = (256, b"\x01\x02", {2: [b"\x01\x02"]}, 1)
-        below = {b"\x01\x01": home, b"\x01\x02": foreign}
-        word = b"\x01\x01\x03"
+        home = (~0 << 8, _packed(rules, 1, 1), {1: [_packed(rules, 1, 1)]}, 1)
+        foreign = (~1 << 8, _packed(rules, 1, 2), {2: [_packed(rules, 1, 2)]}, 1)
+        below = {_packed(rules, 1, 1): home, _packed(rules, 1, 2): foreign}
+        word = _packed(rules, 1, 1, 3)
         mark, _walked, _blocks = engine._settle(word, rules, 10, below, {})
         assert mark == word
         assert minimal_monomial((1, 1, 3), p) == (1, 2, 2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import bruteforce
 from small_qhs import qhs_census
 
+import quadsemi.engine as engine
 from quadsemi.census import relation_universe
 from quadsemi.engine import (
     classify,
@@ -54,6 +55,44 @@ def random_presentations(draw):
 def small_qhs(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     return draw(st.sampled_from(qhs_census(n)))
+
+
+def _reference_top_suffix_witness(v, w, m, top):
+    """Reference tame-witness rule on tuples: v holds the top letter at the
+    last position where v and w differ or after it (anywhere when v == w)."""
+    if top not in v:
+        return False
+    s = 0
+    while s < m and v[m - 1 - s] == w[m - 1 - s]:
+        s += 1
+    start = m - s - 1
+    if start < 0:
+        start = 0
+    return top in v[start:]
+
+
+class TestPackedWords:
+    """The engine's packed words: k = n.bit_length() bits per letter."""
+
+    @given(st.data())
+    def test_packing_keeps_letters_order_and_the_tame_rule(self, data):
+        n = data.draw(st.sampled_from([*range(1, 10), 255]))
+        m = data.draw(st.integers(min_value=1, max_value=12))
+        # the top letter is drawn often, as classify meets it in class members
+        letters = st.one_of(st.just(n), st.integers(min_value=1, max_value=n))
+        w = tuple(data.draw(st.lists(letters, min_size=m, max_size=m)))
+        # v shares a suffix of w, of any length, as class members often do
+        j = data.draw(st.integers(min_value=0, max_value=m))
+        v = tuple(data.draw(st.lists(letters, min_size=j, max_size=j))) + w[j:]
+        k = n.bit_length()
+        pw, pv = engine._pack(w, k), engine._pack(v, k)
+        assert engine._unpack(pw, k) == w
+        assert engine._unpack(pv, k) == v
+        assert (pv > pw) - (pv < pw) == rtl_lex_cmp(v, w)
+        above = engine._top_above(pw, k, n)
+        assert above == max((i for i, x in enumerate(w) if x == n), default=-1)
+        assert (engine._top_suffix_witness(pv, pw, k, n, above)
+                == _reference_top_suffix_witness(v, w, m, n))
 
 
 class TestOrderLaws:

@@ -43,13 +43,22 @@ def test_capped_answers_writes_and_compares(tmp_path):
     assert out.startswith("15 answers written")
     data = json.loads(old.read_text())
     answers = data["answers"]
-    assert {label for label, _answer in answers.values()} == {"n1", "n2"}
+    assert {label for label, _answer, _detail in answers.values()} == {"n1", "n2"}
+    assert all(isinstance(detail, str) for _label, _answer, detail in answers.values())
     assert _run_script("capped_answers.py", "compare", str(old), str(old)).endswith(
         "15 answers, 0 moved, 0 bad\n")
-    # an answer that falls back to inconclusive must fail the comparison
-    key = next(k for k, (_label, a) in answers.items() if a.startswith("regular:"))
-    answers[key][1] = "inconclusive:0"
     new = tmp_path / "new.json"
+    # a detail that moves under an unchanged answer is listed, not failed
+    key = next(iter(answers))
+    answers[key][2] = "coset class of x1*x1 exceeded 3 members"
+    new.write_text(json.dumps(data))
+    out = _run_script("capped_answers.py", "compare", str(old), str(new))
+    assert f"{key} (n" in out and "detail" in out
+    assert out.endswith("15 answers, 1 moved, 0 bad\n")
+    answers[key][2] = json.loads(old.read_text())["answers"][key][2]
+    # an answer that falls back to inconclusive must fail the comparison
+    key = next(k for k, (_label, a, _detail) in answers.items() if a.startswith("regular:"))
+    answers[key][1] = "inconclusive:0"
     new.write_text(json.dumps(data))
     out = _run_script("capped_answers.py", "compare", str(old), str(new), returncode=1)
     assert f"{key} (n" in out and "LESS CONCLUSIVE" in out
