@@ -1,15 +1,23 @@
-"""Capped regularity answers on a fixed set of presentations, and their differential.
+"""Capped regularity and power-witness answers on a fixed set of presentations, and their differential.
 
 ``write OUT`` runs ``regularity_degree`` with max_degree 12 at
 max_class_size 3, 10, 30, 100 and 1000 on every QHS with n <= 4, the tower
-presentations n = 5 and 6 and every 97th n = 5 QHS, and writes the answers
-as JSON, each with its ``detail`` (for a capped walk, the word where it
-stopped).  ``compare OLD NEW`` lists every answer or detail that moved
-between two such files and exits 1 when a conclusive answer changed or an
-answer became less conclusive (an inconclusive answer is more conclusive
-the higher its degree); a moved detail alone is listed but does not fail.  Run ``write`` from two checkouts of an engine change,
-each with its own ``src`` on PYTHONPATH, then ``compare`` the files.  The
-full set gives 3685 answers in about 5 s on a 2-vCPU host.
+presentations n = 5 and 6 and every 97th n = 5 QHS, and ``power_witness``
+on each tower at the same caps and at the default cap.  It writes the
+answers as JSON, each with its ``detail`` (for a capped run, the word
+where it stopped).  A witness answer is ``found:`` with the witness, or
+``none:`` when the class holds no member ending in the top letter, or
+``inconclusive:0`` at the cap.  ``compare OLD NEW`` lists every answer or
+detail that moved between two such files and exits 1 when a conclusive
+answer changed (a found witness moved or became none, say) or an answer
+became less conclusive (an inconclusive answer is more conclusive the
+higher its degree, and any conclusive one more so); a moved detail alone
+is listed but does not fail.  To check an engine change, run this one
+script's ``write`` twice, once with each checkout's ``src`` on PYTHONPATH,
+then ``compare`` the two files.  Both files must be written by the same
+script: an answer that only one of them holds fails the comparison.  The full
+set gives 3697 answers (3685 regularity, 12 witness) in about 5 s on a
+2-vCPU host.
 """
 
 import argparse
@@ -17,9 +25,15 @@ import json
 import sys
 
 from quadsemi.census import enumerate_qhs
-from quadsemi.constructions import build_regular_qhs
-from quadsemi.engine import ENGINE_VERSION, EngineLimits, regularity_degree
-from quadsemi.model import presentation_hash
+from quadsemi.constructions import build_regular_qhs, power_witness
+from quadsemi.engine import (
+    DEFAULT_LIMITS,
+    ENGINE_VERSION,
+    EngineLimits,
+    ResourceExhausted,
+    regularity_degree,
+)
+from quadsemi.model import monomial_str, presentation_hash
 
 CAPS = (3, 10, 30, 100, 1000)
 MAX_DEGREE = 12
@@ -42,6 +56,15 @@ def answer(result) -> str:
     return f"{result.status}:{result.degree}"
 
 
+def witness_answer(p, cap: int) -> tuple:
+    """(answer, detail) of ``power_witness`` at the class-size cap."""
+    try:
+        witness = power_witness(p, limits=EngineLimits(max_class_size=cap))
+    except ResourceExhausted as exc:
+        return "inconclusive:0", str(exc)
+    return ("none:", "") if witness is None else (f"found:{monomial_str(witness)}", "")
+
+
 def write(args) -> int:
     answers = {}
     for label, p in cases(args.max_n, args.towers, args.n5_every):
@@ -50,6 +73,11 @@ def write(args) -> int:
             limits = EngineLimits(max_class_size=cap, max_degree=MAX_DEGREE)
             result = regularity_degree(p, limits)
             answers[f"{key}@{cap}"] = [label, answer(result), result.detail]
+    for n in args.towers:
+        p = build_regular_qhs(n)
+        key = presentation_hash(p)
+        for cap in (*CAPS, DEFAULT_LIMITS.max_class_size):
+            answers[f"{key}@{cap}:witness"] = [f"tower{n}", *witness_answer(p, cap)]
     with open(args.out, "w") as fh:
         json.dump({"engine_version": ENGINE_VERSION, "max_degree": MAX_DEGREE,
                    "answers": answers}, fh, indent=0, sort_keys=True)

@@ -139,11 +139,13 @@ def power_witness(p: Presentation, q: int | None = None,
                   limits: EngineLimits = DEFAULT_LIMITS) -> Word | None:
     """Member of the reduced-ideal class of x1^q ending in the top letter.
 
-    Takes the first such member of the engine's class walk (depth-first,
-    root first, each member in discovery order), because at moderate n the
-    full class is far larger than the distance to a witness.  Returns None
-    when the closure is exhausted without one.  The default power is
-    witness_power(n).
+    Takes the first such member in ``iter_class`` order (depth-first, root
+    first, each member in discovery order), because at moderate n the full
+    class is far larger than the distance to a witness.  The engine finds
+    it with a scan of its own that tests only the swaps at the last
+    position, the only ones that change the last letter.  Returns None when
+    the closure is exhausted without one; raises ResourceExhausted where
+    ``iter_class`` would.  The default power is witness_power(n).
     """
     n = p.alphabet.n
     if q is None:

@@ -27,15 +27,19 @@ K = n.bit_length() bits per letter, letter j of the word (counting from
 top digit gives the degree, and for words of one degree integer order is
 the right-to-left order.  A swap at position j adds delta << K*j, with
 delta read from a table indexed by the pair code a | b << K; the prefix
-is a mask and the last letter a shift.  Every class walk is one
-depth-first generator, ``_block_walk``; given no classes one degree down
-it yields the root and then each member in discovery order: it pops a
-word, scans its positions left to right and takes each pair's
-replacements in relation order.  Callers that take the full closure get
-the same answer in any order; only the first member an early-stopping
-scan meets (``iter_class``, and ``_first_member_ending_in`` for
-``constructions.power_witness``) depends on it.  The public functions
-take and return words as tuples of letters.
+is a mask and the last letter a shift.  Every class walk that reads
+each member is one depth-first generator, ``_block_walk``; given no
+classes one degree down it yields the root and then each member in
+discovery order: it pops a word, scans its positions left to right and
+takes each pair's replacements in relation order.  Callers that take the
+full closure get the same answer in any order; only the first member an
+early-stopping scan meets depends on it.  The power-witness scan behind
+``constructions.power_witness``, ``_first_member_ending_in``, is the one
+loop outside ``_block_walk``: it walks the same order without a
+generator and tests only the swaps at the last position, since no other
+swap changes the last letter.  A test pins it to the first member of
+``iter_class`` that it stands for.  The public functions take and return
+words as tuples of letters.
 
 Singular sets are found degree by degree with the same blocks.  Singular
 words are closed under taking factors (the right-to-left order is
@@ -661,15 +665,59 @@ def _first_member_ending_in(word, x: int, p: Presentation,
     """First member of the word's class, in ``iter_class`` order, whose last letter is x.
 
     None when the closure is exhausted without one; ResourceExhausted past
-    the class-size cap.
+    the class-size cap, exactly where ``iter_class`` raises it.  The loop
+    is ``_block_walk``'s word branch with no classes below, stopped at the
+    first witness instead of yielding each member.  A swap inside the
+    prefix never changes the last letter, so once the root is checked only
+    the swaps at the last position can meet x.
     """
     rules = _rules(p, mode)
     k = rules.k
     w = _encode_word(word, rules)
-    shift = (len(word) - 1) * k
-    for v in _block_walk(w, rules, limits.max_class_size, {}, set(), {}):
-        if v >> shift == x:
-            return _unpack(v, k)
+    last = (len(word) - 1) * k  # the shift of the last letter
+    if w >> last == x:
+        return _unpack(w, k)
+    if not last:
+        return None
+    cap = limits.max_class_size
+    swaps = rules.swaps
+    top = last - k  # the shift of the last pair
+    pair = (1 << 2 * k) - 1
+    inner = range(0, top, k)
+    seen = {w}
+    stack = [w]
+    add, push, pop = seen.add, stack.append, stack.pop
+    room = cap - 1  # words that may still join seen
+    while stack:
+        item = pop()
+        for s in inner:
+            ds = swaps[(item >> s) & pair]
+            if ds is None:
+                continue
+            for d in ds:
+                nb = item + (d << s)
+                if nb in seen:
+                    continue
+                if not room:
+                    raise _exhausted(_unpack(w, k), cap)
+                room -= 1
+                add(nb)
+                push(nb)
+        ds = swaps[item >> top]
+        if ds is None:
+            continue
+        for d in ds:
+            nb = item + (d << top)
+            # seen holds no word ending in x, so the witness test comes first
+            if nb >> last == x:
+                return _unpack(nb, k)
+            if nb in seen:
+                continue
+            if not room:
+                raise _exhausted(_unpack(w, k), cap)
+            room -= 1
+            add(nb)
+            push(nb)
     return None
 
 

@@ -334,6 +334,26 @@ def strip_top(p: Presentation) -> Presentation:
     return Presentation(p.alphabet, tuple(r for r in p.relations if r != top))
 
 
+def opposite(p: Presentation) -> Presentation:
+    """The presentation of the opposite algebra, with x_i renamed x_{n+1-i}.
+
+    Words are read backwards and x_i becomes x_{n+1-i}, so each monomial
+    x_a x_b becomes x_{n+1-b} x_{n+1-a}.  This maps the classes of one
+    degree onto those of the other, so the graded dimensions and every
+    class size agree, and twice is the identity.  Whatever depends on the
+    right-to-left order or on the top letter (minimal words, singular sets,
+    regularity, the degree at which the class quotient repeats) does not
+    carry over.
+    """
+    n = p.alphabet.n
+
+    def flip(q):
+        return None if q is None else (n + 1 - q[1], n + 1 - q[0])
+
+    return Presentation(p.alphabet, tuple(Relation(flip(r.left), flip(r.right))
+                                          for r in p.relations))
+
+
 def delta(n: int) -> int:
     """Minimal size of a QHS on n ordered generators.
 

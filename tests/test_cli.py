@@ -266,6 +266,24 @@ class TestLemmaM1:
         assert main(["lemma-m1", "--n", "4"]) == 1
         assert "n >= 5" in capsys.readouterr().err
 
+    def test_cap_hit_is_inconclusive_and_not_cached(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        argv = ["--cache", str(cache_dir), "--max-class-size", "100", "lemma-m1", "--n", "6"]
+        assert main(argv) == 2
+        power = "*".join(["x1"] * 11)
+        assert capsys.readouterr().err == (
+            f"inconclusive: coset class of {power} exceeded 100 members\n")
+        assert not (cache_dir / "runs.jsonl").exists()
+
+    def test_cache_hit_prints_what_the_miss_printed(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        argv = ["--cache", str(cache_dir), "lemma-m1", "--n", "5", "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert len((cache_dir / "runs.jsonl").read_text().splitlines()) == 1
+
 
 class TestEnumerate:
     def test_qhs_count(self, capsys):

@@ -4,12 +4,14 @@ import sys
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadsemi.engine as engine
 from quadsemi.analysis import hilbert_profile
-from quadsemi.census import enumerate_presentations
-from quadsemi.constructions import build_regular_qhs
+from quadsemi.census import enumerate_presentations, relation_universe
+from quadsemi.constructions import build_regular_qhs, witness_power
 from quadsemi.engine import (
+    DEFAULT_LIMITS,
     Classification,
     EngineLimits,
     MinimalBasis,
@@ -147,6 +149,75 @@ class TestIterClass:
         p = swap_only(2, ((2, 1), (1, 2)))
         with pytest.raises(ResourceExhausted):
             list(iter_class((1, 2) * 6, p, FULL, EngineLimits(max_class_size=50)))
+
+
+def _outcome(scan):
+    """What a scan returns, or ("exhausted", message) when it hits the cap."""
+    try:
+        return scan()
+    except ResourceExhausted as exc:
+        return ("exhausted", str(exc))
+
+
+def _scans_agree(word, x, p, mode, limits):
+    """The witness scan against the first ``iter_class`` member ending in x."""
+    got = _outcome(lambda: engine._first_member_ending_in(word, x, p, mode, limits))
+    want = _outcome(lambda: next(
+        (v for v in iter_class(word, p, mode, limits) if v[-1] == x), None))
+    assert got == want, (word, x, p, mode, limits)
+    return got
+
+
+@st.composite
+def _scan_cases(draw):
+    """(word, letter, presentation, mode, limits) on up to 4 generators."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    mode = draw(st.sampled_from([FULL, REDUCED]))
+    if mode is FULL and draw(st.booleans()):
+        # up to 8 relations, so that a pair often has several replacements
+        universe = relation_universe(n)
+        p = presentation(n, draw(st.lists(st.sampled_from(universe), max_size=8,
+                                          unique=True)))
+    else:
+        p = draw(st.sampled_from(qhs_census(n)))
+    word = tuple(draw(st.lists(st.integers(min_value=1, max_value=n),
+                               min_size=1, max_size=8)))
+    x = draw(st.integers(min_value=1, max_value=n))
+    cap = draw(st.sampled_from([1, 2, 3, 5, 10, 30, 100,
+                                DEFAULT_LIMITS.max_class_size]))
+    return word, x, p, mode, EngineLimits(max_class_size=cap)
+
+
+class TestWitnessScan:
+    """``_first_member_ending_in`` is its own loop; ``iter_class`` pins it."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("cap", [1, 10, 100, 1000, 10**4, 10**5, None])
+    def test_towers_at_every_cap(self, n, cap):
+        limits = DEFAULT_LIMITS if cap is None else EngineLimits(max_class_size=cap)
+        _scans_agree((1,) * witness_power(n), n, build_regular_qhs(n), REDUCED, limits)
+
+    def test_edge_cases(self, m2, tower5):
+        limits = DEFAULT_LIMITS
+        # the root already ends in x
+        assert _scans_agree((1, 2), 2, m2, FULL, limits) == (1, 2)
+        # a one-letter word that does not end in x
+        assert _scans_agree((1,), 2, m2, FULL, limits) is None
+        # a class of 13 members, none ending in x5
+        assert len(coset_class((1,) * 4, tower5, REDUCED).members) == 13
+        assert _scans_agree((1,) * 4, 5, tower5, REDUCED, limits) is None
+        # x1 x1 swaps to x1 x3 and to x2 x3: the first in relation order wins
+        p = swap_only(3, ((1, 1), (1, 3)), ((1, 1), (2, 3)))
+        assert _scans_agree((1, 1), 3, p, FULL, limits) == (1, 3)
+        # the cap is hit before the witness
+        tower6 = build_regular_qhs(6)
+        assert _scans_agree((1,) * 11, 6, tower6, REDUCED, EngineLimits(max_class_size=100)) == (
+            "exhausted", "coset class of " + "*".join(["x1"] * 11) + " exceeded 100 members")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_cases())
+    def test_small_presentations(self, case):
+        _scans_agree(*case)
 
 
 class TestErrors:

@@ -7,8 +7,12 @@ import bruteforce
 from small_qhs import qhs_census
 
 import quadsemi.engine as engine
-from quadsemi.census import relation_universe
+from quadsemi.analysis import hilbert_profile
+from quadsemi.census import CENSUS_LIMITS, relation_universe
+from quadsemi.constructions import build_regular_qhs
 from quadsemi.engine import (
+    DEFAULT_LIMITS,
+    EngineLimits,
     classify,
     coset_class,
     initial_basis,
@@ -18,6 +22,7 @@ from quadsemi.engine import (
 from quadsemi.model import (
     IdealMode,
     delta,
+    opposite,
     pair_key,
     presentation,
     presentation_hash,
@@ -25,6 +30,9 @@ from quadsemi.model import (
     rtl_lex_cmp,
 )
 from quadsemi.textio import parse_presentation, render_json, render_presentation
+
+from test_acceptance import CENSUS_OPEN
+from test_census import _n5_hilbert_table
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -193,3 +201,39 @@ class TestQhsStructure:
         rels = [r for i, r in enumerate(p.relations) if i != index]
         reduced = presentation(p.alphabet.n, rels)
         assert not reduced.is_qhs
+
+
+def _assert_dual(p, limits=DEFAULT_LIMITS):
+    """The opposite presentation is a QHS exactly when p is, twice is p, and
+    its Hilbert profile has the same dimensions and verdict."""
+    q = opposite(p)
+    assert q.is_qhs == p.is_qhs
+    assert opposite(q) == p
+    a = hilbert_profile(p, limits=limits)
+    b = hilbert_profile(q, limits=limits)
+    assert (a.dims, a.verdict) == (b.dims, b.verdict), p
+
+
+class TestOpposite:
+    """Reversal duality: an oracle for dimensions past the brute force."""
+
+    @given(st.one_of(random_presentations(),
+                     st.integers(min_value=1, max_value=4).flatmap(
+                         lambda n: st.sampled_from(qhs_census(n)))),
+           st.integers(min_value=1, max_value=10),
+           st.sampled_from([1, 2, 5, 30, DEFAULT_LIMITS.max_class_size]))
+    def test_small_presentations(self, p, max_degree, cap):
+        _assert_dual(p, EngineLimits(max_class_size=cap, max_degree=max_degree))
+
+    def test_towers(self):
+        for n in (5, 6, 7):
+            p = build_regular_qhs(n)
+            assert p.is_qhs and opposite(p) != p
+            _assert_dual(p)
+
+    def test_census_open_cases(self):
+        ranked, expected = _n5_hilbert_table()
+        opens = [p for p, verdict in zip(ranked, expected) if verdict.startswith("open")]
+        assert len(opens) == 197 and parse_presentation(CENSUS_OPEN) in opens
+        for p in opens[::4]:
+            _assert_dual(p, CENSUS_LIMITS)

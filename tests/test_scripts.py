@@ -39,26 +39,48 @@ def test_nilpotency_survey_reports_the_tower_n5_row():
 def test_capped_answers_writes_and_compares(tmp_path):
     old = tmp_path / "old.json"
     out = _run_script("capped_answers.py", "write", str(old),
-                      "--max-n", "2", "--towers", "--n5-every", "0")
-    assert out.startswith("15 answers written")
+                      "--max-n", "2", "--towers", "5", "--n5-every", "0")
+    # 15 + 5 regularity answers, and 6 witness answers for the tower
+    assert out.startswith("26 answers written")
     data = json.loads(old.read_text())
     answers = data["answers"]
-    assert {label for label, _answer, _detail in answers.values()} == {"n1", "n2"}
+    assert {label for label, _answer, _detail in answers.values()} == {"n1", "n2", "tower5"}
     assert all(isinstance(detail, str) for _label, _answer, detail in answers.values())
+    witness = {key.split("@")[1]: answer for key, (_label, answer, _detail) in answers.items()
+               if key.endswith(":witness")}
+    assert witness == {f"{cap}:witness": "inconclusive:0" for cap in (3, 10, 30, 100)} | {
+        f"{cap}:witness": "found:x5*x1*x1*x3*x2*x5*x5*x5" for cap in (1000, 5000000)}
     assert _run_script("capped_answers.py", "compare", str(old), str(old)).endswith(
-        "15 answers, 0 moved, 0 bad\n")
+        "26 answers, 0 moved, 0 bad\n")
     new = tmp_path / "new.json"
+
+    def compare_with(key, answer, returncode):
+        saved = answers[key][1]
+        answers[key][1] = answer
+        new.write_text(json.dumps(data))
+        answers[key][1] = saved
+        out = _run_script("capped_answers.py", "compare", str(old), str(new),
+                          returncode=returncode)
+        assert out.endswith("26 answers, 1 moved, %d bad\n" % returncode)
+        return out
+
     # a detail that moves under an unchanged answer is listed, not failed
     key = next(iter(answers))
     answers[key][2] = "coset class of x1*x1 exceeded 3 members"
     new.write_text(json.dumps(data))
     out = _run_script("capped_answers.py", "compare", str(old), str(new))
     assert f"{key} (n" in out and "detail" in out
-    assert out.endswith("15 answers, 1 moved, 0 bad\n")
+    assert out.endswith("26 answers, 1 moved, 0 bad\n")
     answers[key][2] = json.loads(old.read_text())["answers"][key][2]
     # an answer that falls back to inconclusive must fail the comparison
     key = next(k for k, (_label, a, _detail) in answers.items() if a.startswith("regular:"))
-    answers[key][1] = "inconclusive:0"
-    new.write_text(json.dumps(data))
-    out = _run_script("capped_answers.py", "compare", str(old), str(new), returncode=1)
+    out = compare_with(key, "inconclusive:0", 1)
     assert f"{key} (n" in out and "LESS CONCLUSIVE" in out
+    # a found witness that moves, turns into none or into inconclusive fails
+    found = next(k for k in answers if k.endswith("@1000:witness"))
+    assert "DISAGREES" in compare_with(found, "found:x5*x1*x1*x3*x2*x5*x5*x4", 1)
+    assert "DISAGREES" in compare_with(found, "none:", 1)
+    assert "LESS CONCLUSIVE" in compare_with(found, "inconclusive:0", 1)
+    # a witness found where the old run was inconclusive is more conclusive
+    capped = next(k for k in answers if k.endswith("@100:witness"))
+    assert "more conclusive" in compare_with(capped, "found:x5*x1*x1*x3*x2*x5*x5*x5", 0)
