@@ -169,8 +169,6 @@ def _load(path):
         return load_presentation(path)
     except PresentationSyntaxError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    except OSError as exc:
-        raise ValueError(str(exc)) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -461,6 +459,11 @@ def main(argv=None) -> int:
         return INCONCLUSIVE
     except BrokenPipeError:
         return OK
+    except OSError as exc:
+        # a file that cannot be read or written: a missing input, an
+        # unwritable --out, an unusable --cache
+        print(f"error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -56,6 +56,8 @@ follows from its letter and its class's minimum and last letters.  Only
 a block with the candidate's last letter, from a class other than the
 candidate prefix's, has its words checked one by one for a tame witness.
 Words whose prefix lies in no class handed on are walked one by one.
+Within a degree, a class settled as zero or singular settles every later
+candidate in its blocks; the step's memo holds block keys, never words.
 
 The class quotient also settles some infinite algebras outright.  The next
 degree's blocks map comes from the current one and the rules alone: the
@@ -327,11 +329,10 @@ def _top_suffix_witness(v: int, w: int, k: int, top: int, above: int) -> bool:
 
 # Budget of words the singular-set steps keep at once: the singular
 # classes handed down from the degree below, spelled out word by word, and
-# what the current step keeps, namely members of zero classes, so that
-# sibling candidates settle by lookup, and its singular classes for the
-# next degree, counted by size although only the ones handed down are
-# spelled out.  A class past the budget is not kept; its candidates are
-# still cached, and its extensions are walked word by word one degree up.
+# the singular classes the current step keeps for the next degree, counted
+# by size although only the ones handed down are spelled out.  A class past
+# the budget is not kept, and its extensions are walked word by word one
+# degree up.
 _MEMO_WORD_BUDGET = 2_000_000
 
 # the mark of a zero class in ``_settle``; packed words are positive
@@ -464,19 +465,18 @@ def _settle(c: int, rules: _Rules, cap: int, below: dict, known: dict):
 
       None      the walk ended: c is the class minimum and no member is a
                 tame witness, so c is singular
-      0         the class is zero (``_ZERO_MARK``); walked and blocks
-                belong to it
+      0         the class is zero (``_ZERO_MARK``); blocks belong to it
       a word    c is not singular: some member precedes c or is a tame
                 witness, or the class was settled by an earlier walk
 
-    ``known`` maps words and block keys met by earlier walks of the same
-    degree to 0 (zero class) or to their class minimum.  A block is
-    settled without visiting its members: it is zero when a last letter of
-    its class makes a zero monomial with its letter; its least word is the
-    class minimum extended by its letter; and it holds a tame witness when
-    its letter is the top letter, or when its letter is c's, its class is
-    not the class of c's prefix (which is singular), and some member of
-    its class is a tame witness for that prefix.
+    ``known`` maps the keys of blocks met by earlier walks of the same
+    degree to 0 (zero class) or to their class minimum; it holds no words.
+    A block is settled without visiting its members: it is zero when a
+    last letter of its class makes a zero monomial with its letter; its
+    least word is the class minimum extended by its letter; and it holds a
+    tame witness when its letter is the top letter, or when its letter is
+    c's, its class is not the class of c's prefix (which is singular), and
+    some member of its class is a tame witness for that prefix.
     """
     k = rules.k
     digit = (1 << k) - 1
@@ -493,11 +493,7 @@ def _settle(c: int, rules: _Rules, cap: int, below: dict, known: dict):
     zero: list = []
     for item in _block_walk(c, rules, cap, below, set(), blocks, zero):
         if item.__class__ is int:
-            mark = known.get(item)
-            if mark is not None:
-                return mark, walked, blocks
             if zero:
-                walked.append(item)
                 return _ZERO_MARK, walked, blocks
             if item < c:
                 return c, walked, blocks
@@ -529,31 +525,33 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
     ``cands`` are packed words of one degree in ascending (rtl) order and
     ``below`` holds the known classes one degree down (see
     ``_block_walk``); with none known every class is walked word by word.
-    A class settled as zero or singular settles every later candidate that
-    its walk met.  A walk that meets the cap is repeated word by word
-    before the cap is reported: blocks change the order in which a class
-    is met, and the word walk may reach an exit within the cap first.  A
-    class walked to the end with more than ``cap`` words raises
-    ResourceExhausted, however few of them were walked one by one.
+    A class settled as zero or singular settles every later candidate in
+    a block its walk met.  The memo ``known`` holds block keys only: every
+    candidate's prefix is singular, and its class is in ``below`` unless
+    it was past the budget one degree down.  A walk that meets the cap is
+    repeated word by word before the cap is reported: blocks change the
+    order in which a class is met, and the word walk may reach an exit
+    within the cap first.  A class walked to the end with more than
+    ``cap`` words raises ResourceExhausted, however few of them were
+    walked one by one.
 
     Returns the singular words, ascending, and the list of their classes
     that were kept, each as (key, minimum, words walked one by one in
-    discovery order, blocks, size) for ``_hand_down``.  The words kept,
-    counted by class size, together with those of ``below``, stay within
-    ``_MEMO_WORD_BUDGET``.
+    discovery order, blocks, size) for ``_hand_down``.  The classes kept,
+    counted by size, together with the words of ``below``, stay within
+    ``_MEMO_WORD_BUDGET``, which bounds nothing else.
     """
     if not cands:
         return [], []
     shift = (cands[0].bit_length() - 1) // rules.k * rules.k
     mask = (1 << shift) - 1
-    cand_set = frozenset(cands)
     known: dict = {}
     room = _MEMO_WORD_BUDGET - len(below)
     sing = []
     kept = []
     for c in cands:
         home = below.get(c & mask)
-        if (c if home is None else home[0] + (c >> shift)) in known:
+        if home is not None and home[0] + (c >> shift) in known:
             continue
         try:
             mark, walked, blocks = _settle(c, rules, cap, below, known)
@@ -567,9 +565,6 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
                 raise _exhausted(_unpack(c, rules.k), cap)
             for key in blocks:
                 known[key] = c
-            for v in walked:
-                if v in cand_set:
-                    known[v] = c
             if size <= room:
                 room -= size
                 kept.append((~len(sing) << 8, c, walked, blocks, size))
@@ -577,14 +572,6 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
         elif not mark:
             for key in blocks:
                 known[key] = _ZERO_MARK
-            if len(walked) <= room:
-                room -= len(walked)
-                for v in walked:
-                    known[v] = _ZERO_MARK
-            else:
-                for v in walked:
-                    if v in cand_set:
-                        known[v] = _ZERO_MARK
     return sing, kept
 
 

@@ -85,6 +85,12 @@ class TestBuildExtend:
         assert "wrote" in capsys.readouterr().out
         assert out_path.read_text().startswith("generators 5\n")
 
+    def test_unwritable_out_is_an_error_line(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "t.txt"
+        assert main(["build", "--n", "5", "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_extend_matches_build(self, tmp_path, capsys):
         m1_path = tmp_path / "m1.txt"
         m1_path.write_text(M1_TEXT)
@@ -381,6 +387,13 @@ class TestCacheFlow:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert len((cache_dir / "runs.jsonl").read_bytes().splitlines()) == 2
+
+    def test_unusable_cache_file_is_an_error_line(self, tmp_path, m2_file, capsys):
+        cache_dir = tmp_path / "cache"
+        (cache_dir / "runs.jsonl").mkdir(parents=True)
+        assert main(["--cache", str(cache_dir), "hilbert", m2_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestParsing:

@@ -135,13 +135,20 @@ class TestIterClass:
             pytest.fail("no witness found")
         assert count < 5000
 
+    @pytest.fixture
+    def two_replacements(self):
+        # x1x2 and x2x1 each have two replacements, which no QHS pair has
+        return swap_only(3, ((1, 2), (2, 1)), ((1, 2), (3, 3)), ((2, 1), (1, 3)))
+
     @pytest.mark.parametrize("name, word, count", [
-        ("tower5", (1,) * 8, 3000), ("m4", (1,) * 8, 790), ("m3", (1,), 1)])
+        ("tower5", (1,) * 8, 3000), ("m4", (1,) * 8, 790), ("m3", (1,), 1),
+        ("two_replacements", (1, 2) * 3, 695)])
     def test_discovery_order_is_the_reference_dfs(self, request, name, word, count):
         # power_witness and every cached lemma-m1 answer depend on the first
         # member a scan meets, so the order is pinned, not just the set
         p = request.getfixturevalue(name)
-        got = list(islice(iter_class(word, p, REDUCED), 3000))
+        # the reduced ideal is defined for a QHS only
+        got = list(islice(iter_class(word, p, REDUCED if p.is_qhs else FULL), 3000))
         assert len(got) == count
         assert got == list(islice(_reference_walk(word, p), 3000))
 
@@ -428,14 +435,19 @@ class TestSingularBlocks:
         assert [_chain(p) for p in cases] == unbounded
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13])
-    def test_capped_regularity_is_inconclusive_or_exact(self, tower5, cap):
-        for p in _small_qhs_and_tower5(tower5):
-            exact = regularity_degree(p, EngineLimits(max_degree=12))
-            capped = regularity_degree(p, EngineLimits(max_class_size=cap, max_degree=12))
-            if capped.status == "inconclusive":
-                assert capped.degree < exact.degree, (p, cap)
-            else:
-                assert capped == exact, (p, cap)
+    def test_capped_regularity_is_inconclusive_or_exact(self, monkeypatch, tower5, cap):
+        cases = _small_qhs_and_tower5(tower5)
+        exact = [regularity_degree(p, EngineLimits(max_degree=12)) for p in cases]
+        limits = EngineLimits(max_class_size=cap, max_degree=12)
+        # budget 0 keeps no class, so every walk goes word by word
+        for budget in (engine._MEMO_WORD_BUDGET, 0):
+            monkeypatch.setattr(engine, "_MEMO_WORD_BUDGET", budget)
+            for p, want in zip(cases, exact):
+                capped = regularity_degree(p, limits)
+                if capped.status == "inconclusive":
+                    assert capped.degree < want.degree, (p, cap, budget)
+                else:
+                    assert capped == want, (p, cap, budget)
 
     def test_tower6_capped_regularity_is_frozen(self):
         p = build_regular_qhs(6)
