@@ -1,10 +1,10 @@
 """Command line front end.
 
 Exit codes are uniform across subcommands: 0 when a definite verdict or
-output was produced, 2 when resource caps left the question open (or a
-searched-for object was not found), 1 for unusable input.  Human-readable
-text and machine output never share a stream: JSON and CSV appear only
-behind their flags.
+output was produced, 2 when resource caps or a lack of memory left the
+question open (or a searched-for object was not found), 1 for unusable
+input.  Human-readable text and machine output never share a stream: JSON
+and CSV appear only behind their flags.
 """
 
 from __future__ import annotations
@@ -456,6 +456,10 @@ def main(argv=None) -> int:
         return INPUT_ERROR
     except ResourceExhausted as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return INCONCLUSIVE
+    except MemoryError:
+        # the walk's structures are freed with the frames that held them
+        print("inconclusive: out of memory", file=sys.stderr)
         return INCONCLUSIVE
     except BrokenPipeError:
         return OK

@@ -56,8 +56,8 @@ follows from its letter and its class's minimum and last letters.  Only
 a block with the candidate's last letter, from a class other than the
 candidate prefix's, has its words checked one by one for a tame witness.
 Words whose prefix lies in no class handed on are walked one by one.
-Within a degree, a class settled as zero or singular settles every later
-candidate in its blocks; the step's memo holds block keys, never words.
+Each candidate is settled by a walk of its own class; the step keeps no
+memo of the classes its earlier walks settled.
 
 The class quotient also settles some infinite algebras outright.  The next
 degree's blocks map comes from the current one and the rules alone: the
@@ -335,9 +335,6 @@ def _top_suffix_witness(v: int, w: int, k: int, top: int, above: int) -> bool:
 # degree up.
 _MEMO_WORD_BUDGET = 2_000_000
 
-# the mark of a zero class in ``_settle``; packed words are positive
-_ZERO_MARK = 0
-
 
 def _block_walk(c: int, rules: _Rules, cap: int, below: dict, seen: set,
                 blocks: dict, zero: list | None = None):
@@ -345,7 +342,7 @@ def _block_walk(c: int, rules: _Rules, cap: int, below: dict, seen: set,
 
     ``below`` maps each member of a known class one degree down to that
     class, a tuple (key, minimum, members by last letter, size) with key a
-    negative multiple of 256, so that no block key is a packed word.  A
+    distinct multiple of 256, so that class key + x names one block.  A
     word u + x with u in such a class is never yielded alone: its block,
     the pair (class, x) under the key class key + x, is yielded once.
     Swaps inside a block only move u within its class, so a block is left
@@ -454,23 +451,18 @@ def _block_walk(c: int, rules: _Rules, cap: int, below: dict, seen: set,
                 stack.append(block)
 
 
-def _settle(c: int, rules: _Rules, cap: int, below: dict, known: dict):
+def _settle(c: int, rules: _Rules, cap: int, below: dict):
     """Walk the class of the packed word c until it shows whether c is singular.
 
-    Returns (mark, walked, blocks): ``walked`` lists the words the walk
-    visited one by one, in discovery order, and ``blocks`` is as
+    Returns (walked, blocks) when the walk ends, so that c is the class
+    minimum and no member is a tame witness: ``walked`` lists the words
+    the walk visited one by one, in discovery order, and ``blocks`` is as
     ``_block_walk`` left it.  Discovery order does not depend on the hash
     seed, so neither does the order in which ``_hand_down`` passes these
-    words on.  mark is one of:
+    words on.  Returns None as soon as the walk shows that c is not
+    singular: the class is zero, or some member precedes c or is a tame
+    witness.
 
-      None      the walk ended: c is the class minimum and no member is a
-                tame witness, so c is singular
-      0         the class is zero (``_ZERO_MARK``); blocks belong to it
-      a word    c is not singular: some member precedes c or is a tame
-                witness, or the class was settled by an earlier walk
-
-    ``known`` maps the keys of blocks met by earlier walks of the same
-    degree to 0 (zero class) or to their class minimum; it holds no words.
     A block is settled without visiting its members: it is zero when a
     last letter of its class makes a zero monomial with its letter; its
     least word is the class minimum extended by its letter; and it holds a
@@ -493,30 +485,22 @@ def _settle(c: int, rules: _Rules, cap: int, below: dict, known: dict):
     zero: list = []
     for item in _block_walk(c, rules, cap, below, set(), blocks, zero):
         if item.__class__ is int:
-            if zero:
-                return _ZERO_MARK, walked, blocks
-            if item < c:
-                return c, walked, blocks
+            if zero or item < c:
+                return None
             # _top_suffix_witness(item, c, k, top, c_top), inlined
             h = (((item ^ c) | 1).bit_length() - 1) // k
             if (item >> k * h) & digit == top or c_top > h:
-                return c, walked, blocks
+                return None
             walked.append(item)
         else:
             cls, b = item
-            mark = known.get(cls[0] + b)
-            if mark is not None:
-                return mark, walked, blocks
-            if not zero_before[b].isdisjoint(cls[2]):
-                blocks[cls[0] + b] = item
-                return _ZERO_MARK, walked, blocks
-            if b < last or b == top:
-                return c, walked, blocks
+            if not zero_before[b].isdisjoint(cls[2]) or b < last or b == top:
+                return None
             if b == last and (cls[1] < u or cls is not home and any(
                     _top_suffix_witness(d, u, k, top, u_top)
                     for words in cls[2].values() for d in words)):
-                return c, walked, blocks
-    return None, walked, blocks
+                return None
+    return walked, blocks
 
 
 def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
@@ -525,15 +509,12 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
     ``cands`` are packed words of one degree in ascending (rtl) order and
     ``below`` holds the known classes one degree down (see
     ``_block_walk``); with none known every class is walked word by word.
-    A class settled as zero or singular settles every later candidate in
-    a block its walk met.  The memo ``known`` holds block keys only: every
-    candidate's prefix is singular, and its class is in ``below`` unless
-    it was past the budget one degree down.  A walk that meets the cap is
-    repeated word by word before the cap is reported: blocks change the
-    order in which a class is met, and the word walk may reach an exit
-    within the cap first.  A class walked to the end with more than
-    ``cap`` words raises ResourceExhausted, however few of them were
-    walked one by one.
+    Each candidate is settled by a walk of its own class.  A walk that
+    meets the cap is repeated word by word before the cap is reported:
+    blocks change the order in which a class is met, and the word walk may
+    reach an exit within the cap first.  A class walked to the end with
+    more than ``cap`` words raises ResourceExhausted, however few of them
+    were walked one by one.
 
     Returns the singular words, ascending, and the list of their classes
     that were kept, each as (key, minimum, words walked one by one in
@@ -541,37 +522,26 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
     counted by size, together with the words of ``below``, stay within
     ``_MEMO_WORD_BUDGET``, which bounds nothing else.
     """
-    if not cands:
-        return [], []
-    shift = (cands[0].bit_length() - 1) // rules.k * rules.k
-    mask = (1 << shift) - 1
-    known: dict = {}
     room = _MEMO_WORD_BUDGET - len(below)
     sing = []
     kept = []
     for c in cands:
-        home = below.get(c & mask)
-        if home is not None and home[0] + (c >> shift) in known:
-            continue
         try:
-            mark, walked, blocks = _settle(c, rules, cap, below, known)
+            found = _settle(c, rules, cap, below)
         except ResourceExhausted:
             if not below:
                 raise
-            mark, walked, blocks = _settle(c, rules, cap, {}, known)
-        if mark is None:
-            size = len(walked) + sum(cls[3] for cls, _b in blocks.values())
-            if size > cap:
-                raise _exhausted(_unpack(c, rules.k), cap)
-            for key in blocks:
-                known[key] = c
-            if size <= room:
-                room -= size
-                kept.append((~len(sing) << 8, c, walked, blocks, size))
-            sing.append(c)
-        elif not mark:
-            for key in blocks:
-                known[key] = _ZERO_MARK
+            found = _settle(c, rules, cap, {})
+        if found is None:
+            continue
+        walked, blocks = found
+        size = len(walked) + sum(cls[3] for cls, _b in blocks.values())
+        if size > cap:
+            raise _exhausted(_unpack(c, rules.k), cap)
+        if size <= room:
+            room -= size
+            kept.append((~len(sing) << 8, c, walked, blocks, size))
+        sing.append(c)
     return sing, kept
 
 

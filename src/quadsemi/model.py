@@ -87,7 +87,7 @@ def _check_pair(p, label: str) -> None:
     if (
         not isinstance(p, tuple)
         or len(p) != 2
-        or not all(isinstance(c, int) and c >= 1 for c in p)
+        or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in p)
     ):
         raise ValueError(f"{label} must be a pair of positive generator indices, got {p!r}")
 
@@ -170,7 +170,7 @@ class Alphabet:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError(f"alphabet needs at least one generator, got n={self.n!r}")
 
     def letters(self) -> range:

@@ -185,7 +185,7 @@ def _spot_presentations():
 
 def test_criterion_07_oracle_equivalence():
     cases = []
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for p in qhs_census(n):
             cases.append((p, IdealMode.FULL, False))
             cases.append((p, IdealMode.WITHOUT_TOP, True))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
 import pytest
 
+import quadsemi
 from quadsemi.census import CENSUS_LIMITS, census_csv, census_records
 from quadsemi.cli import main
 from quadsemi.textio import render_presentation
@@ -141,6 +145,28 @@ class TestHilbert:
         with pytest.raises(SystemExit) as err:
             main(["hilbert", m2_file, "--csv", "--json"])
         assert err.value.code == 1
+
+    def test_out_of_memory_is_inconclusive(self, tmp_path):
+        # with no binomial every class is one word, so the quotient's width
+        # grows about 2.7x per degree until memory runs out; the address
+        # space limit is set in the child process only
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "wide.txt"
+        path.write_text("generators 3\nx1*x1 = 0\n")
+        limit = 400 << 20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = os.path.dirname(os.path.dirname(quadsemi.__file__))
+        env = {key: value for key, value in os.environ.items()
+               if key != "QUADSEMI_CACHE_DIR"}
+        env["PYTHONPATH"] = src
+        run = subprocess.run([sys.executable, "-m", "quadsemi.cli", "hilbert", str(path)],
+                             env=env, preexec_fn=cap_memory, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr == "inconclusive: out of memory\n"
 
 
 class TestNilpotency:

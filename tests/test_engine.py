@@ -496,9 +496,7 @@ class TestSingularBlocks:
         foreign = (~1 << 8, _packed(rules, 1, 3), {3: [_packed(rules, 1, 3)]}, 1)
         below = {_packed(rules, 1, 1): home, _packed(rules, 1, 3): foreign}
         word = _packed(rules, 1, 1, 2)
-        mark, walked, _blocks = engine._settle(word, rules, 10, below, {})
-        assert mark == word
-        assert not walked
+        assert engine._settle(word, rules, 10, below) is None
 
     def test_a_block_with_an_earlier_letter_precedes_the_word(self):
         # 1 1 3 swaps at its last position to 1 2 2, whose prefix lies in
@@ -511,8 +509,7 @@ class TestSingularBlocks:
         foreign = (~1 << 8, _packed(rules, 1, 2), {2: [_packed(rules, 1, 2)]}, 1)
         below = {_packed(rules, 1, 1): home, _packed(rules, 1, 2): foreign}
         word = _packed(rules, 1, 1, 3)
-        mark, _walked, _blocks = engine._settle(word, rules, 10, below, {})
-        assert mark == word
+        assert engine._settle(word, rules, 10, below) is None
         assert minimal_monomial((1, 1, 3), p) == (1, 2, 2)
 
 

@@ -100,6 +100,17 @@ def test_json_equal_side_must_be_a_pair(side):
         parse_presentation(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "relations": [{"zero": [2, true]}, {"equal": [[2, 2], [true, true]]}]}',
+    '{"n": true, "relations": []}',
+])
+def test_json_booleans_are_not_generator_indices(text):
+    # true == 1 in Python, so read as a letter it would build a presentation
+    # equal to the integer one but with another canonical JSON and hash
+    with pytest.raises(PresentationSyntaxError):
+        parse_presentation(text)
+
+
 def test_whitespace_tolerance():
     p = parse_presentation("generators  3\n x3*x3   =  x2*x1 \nx3*x2=x1*x1\nx2*x2=0\nx3*x1 = 0")
     assert p == presentation(3, [
