@@ -5,7 +5,8 @@ prints one row per algebra.  n = 7 takes about 12 s on a 2-vCPU host,
 nearly all of it the regularity search.  The n = 8 regularity search does
 not finish at desk range, so an n = 8 row is not reached; the n = 8
 Hilbert profile alone (``quadsemi hilbert``) ends at nilpotency index 23
-with total dimension 615,845 in about 6 s and 175 MB on the same host.
+with total dimension 615,845 in about 3 s of CPU and 128 MB of peak
+resident memory on the same host.
 """
 
 import argparse

@@ -30,7 +30,8 @@ class HilbertProfile:
 
       nilpotency_index set    dims ends with a 0 at that degree
       truncated_at set        the degree cap stopped the run, tail unknown
-      exhausted set           a class walk blew the size cap at that degree
+      exhausted set           a resource cap stopped the run at that degree,
+                              and detail names it
     """
 
     n: int
@@ -39,6 +40,7 @@ class HilbertProfile:
     nilpotency_index: int | None = None
     truncated_at: int | None = None
     exhausted: int | None = None
+    detail: str = ""
 
     @property
     def verdict(self) -> str:
@@ -69,8 +71,9 @@ def hilbert_profile(p: Presentation, max_degree: int | None = None,
     while degree < cap:
         try:
             basis = next_minimal_basis(basis, p, mode, limits)
-        except ResourceExhausted:
-            return HilbertProfile(n, mode, tuple(dims), exhausted=degree + 1)
+        except ResourceExhausted as exc:
+            return HilbertProfile(n, mode, tuple(dims), exhausted=degree + 1,
+                                  detail=str(exc))
         degree += 1
         dims.append(len(basis.minimals))
         if dims[-1] == 0:
@@ -127,6 +130,7 @@ def profile_to_json(profile: HilbertProfile) -> dict:
         "nilpotency_index": profile.nilpotency_index,
         "truncated_at": profile.truncated_at,
         "exhausted": profile.exhausted,
+        "detail": profile.detail,
         "verdict": profile.verdict,
     }
 

@@ -88,6 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
         f"makes the answer inconclusive (default {DEFAULT_LIMITS.max_class_size})",
     )
     parser.add_argument(
+        "--max-classes", type=_positive, default=None, metavar="N",
+        help="widest degree of the class quotient considered: a degree with "
+        "more than N classes makes a dimension answer inconclusive "
+        f"(default {DEFAULT_LIMITS.max_classes})",
+    )
+    parser.add_argument(
         "--cache", default=None, metavar="DIR",
         help="read/write finished runs under DIR (default: $QUADSEMI_CACHE_DIR)",
     )
@@ -159,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _limits(args, base: EngineLimits = DEFAULT_LIMITS) -> EngineLimits:
-    if args.max_class_size is None:
-        return base
-    return replace(base, max_class_size=args.max_class_size)
+    if args.max_class_size is not None:
+        base = replace(base, max_class_size=args.max_class_size)
+    if args.max_classes is not None:
+        base = replace(base, max_classes=args.max_classes)
+    return base
 
 
 def _load(path):
@@ -242,7 +250,8 @@ def _cmd_extend(args) -> int:
 
 def _hilbert_result(args, p, cap: int) -> dict:
     limits = _limits(args)
-    parameters = {"max_degree": cap, "max_class_size": limits.max_class_size}
+    parameters = {"max_degree": cap, "max_class_size": limits.max_class_size,
+                  "max_classes": limits.max_classes}
     return _cached_result(
         args,
         presentation_hash(p),
@@ -270,7 +279,7 @@ def _cmd_hilbert(args) -> int:
             print(f"nilpotency index {result['nilpotency_index']}, "
                   f"total dimension {sum(dims)}")
         elif result["exhausted"] is not None:
-            print(f"inconclusive: class-size cap hit at degree {result['exhausted']}")
+            print(f"inconclusive at degree {result['exhausted']}: {result['detail']}")
         else:
             print(f"open: no vanishing degree up to {result['truncated_at']}")
     return OK if result["nilpotency_index"] is not None else INCONCLUSIVE
@@ -284,7 +293,7 @@ def _cmd_nilpotency(args) -> int:
         print(f"nilpotency index: {result['nilpotency_index']}")
         return OK
     if result["exhausted"] is not None:
-        print(f"inconclusive: class-size cap hit at degree {result['exhausted']}")
+        print(f"inconclusive at degree {result['exhausted']}: {result['detail']}")
     else:
         print(f"inconclusive: no vanishing degree up to {result['truncated_at']}")
     return INCONCLUSIVE
@@ -315,7 +324,8 @@ def _cmd_regularity(args) -> int:
     limits = _limits(args)
     cap = args.cap if args.cap is not None else limits.max_degree
     limits = replace(limits, max_degree=cap)
-    parameters = {"cap": cap, "max_class_size": limits.max_class_size}
+    parameters = {"cap": cap, "max_class_size": limits.max_class_size,
+                  "max_classes": limits.max_classes}
 
     result = _cached_result(args, presentation_hash(p), "regularity", parameters,
                             lambda: asdict(regularity_degree(p, limits)))

@@ -17,8 +17,11 @@ which gives every class exactly: zero or not, its size, and its minimum.
 The right-to-left order compares last letters first, so the minimum is the
 class minimum one degree down, extended by the least last letter.  This
 needs neither completion nor confluence of the directed rewriting system.
-A ``MinimalBasis`` carries its degree's blocks map, keyed d*(n+1) + a for
-class d and last letter a, in the letters 1..n that the class walks use.
+The quotient lives in flat lists indexed by slot d*(n+1) + a, for class d
+one degree down and last letter a in the letters 1..n that the class
+walks use: a ``MinimalBasis`` carries its degree's blocks list, holding
+each slot's class id or -1 for a zero block, and the step keeps its
+union-find parents and class ids in lists of the same slots.
 
 Tame and singular are properties of class members, so those questions
 still walk classes.  Internally a word is a packed int: with
@@ -60,26 +63,29 @@ Each candidate is settled by a walk of its own class; the step keeps no
 memo of the classes its earlier walks settled.
 
 The class quotient also settles some infinite algebras outright.  The next
-degree's blocks map comes from the current one and the rules alone: the
-minimum words and sizes ride along but feed nothing back.  So when a
-degree's blocks map equals the one it was built from and the degree still
-has classes, every later degree repeats it, and the algebra is
-infinite-dimensional.  ``_quotient_step`` records that fixed point, or the
-degree where no class is left, on the ``_Rules`` it was given; both facts
-hold whatever the caps, so later calls for the same presentation and mode
-share them.  A repeating FULL quotient settles regularity: a degree with no
-singular words would make the algebra nilpotent of index at most one more
-than that degree, so an infinite algebra has singular words in every degree
-and ``regularity_degree`` need not walk them.
+degree's blocks come from the current ones and the rules alone: the minimum
+words and sizes ride along but feed nothing back.  So when a degree's
+blocks equal the ones they were built from (zero slots past the last
+nonzero one aside) and the degree still has classes, every later degree
+repeats them, and the algebra is infinite-dimensional.  ``_quotient_step``
+records that fixed point, or the degree where no class is left, on the
+``_Rules`` it was given; both facts hold whatever the caps, so later calls
+for the same presentation and mode share them.  A repeating FULL quotient
+settles regularity: a degree with no singular words would make the algebra
+nilpotent of index at most one more than that degree, so an infinite
+algebra has singular words in every degree and ``regularity_degree`` need
+not walk them.
 
-Resource caps never silently change an answer.  A nonzero class larger
-than max_class_size, or a walk that outgrows it, raises
-ResourceExhausted, and callers report that outcome as inconclusive.  In
-the singular-set step the cap counts the words a walk visits one by one,
-not the blocks it meets whole, and a class found singular still raises
-when it has more words than the cap.  A walk that meets the cap is
-repeated word by word before the cap is reported, because blocks change
-the order in which a class is met.
+Resource caps never silently change an answer.  A nonzero class larger than
+max_class_size, a walk that outgrows it, or a quotient degree with more
+than max_classes classes raises ResourceExhausted, and callers report that
+outcome as inconclusive.  The quotient's memory grows with the class count
+of a degree times n + 1, the slots of the next step.  In the singular-set
+step max_class_size counts the words a walk visits one by one, not the
+blocks it meets whole, and a class found singular still raises when it has
+more words than the cap.  A walk that meets the cap is repeated word by
+word before the cap is reported, because blocks change the order in which a
+class is met.
 """
 
 from __future__ import annotations
@@ -100,13 +106,19 @@ ENGINE_VERSION = "1.3.1"
 
 @dataclass(frozen=True)
 class EngineLimits:
-    """Resource guards; generous defaults, overridable per call."""
+    """Resource guards; generous defaults, overridable per call.
+
+    max_class_size bounds the words of one class, max_degree the degrees
+    searched, and max_classes the classes of one degree of the class
+    quotient.
+    """
 
     max_class_size: int = 5_000_000
     max_degree: int = 64
+    max_classes: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_class_size < 1 or self.max_degree < 1:
+        if self.max_class_size < 1 or self.max_degree < 1 or self.max_classes < 1:
             raise ValueError("engine limits must be positive")
 
 
@@ -114,7 +126,10 @@ DEFAULT_LIMITS = EngineLimits()
 
 
 class ResourceExhausted(RuntimeError):
-    """A coset class outgrew max_class_size; the question stays open."""
+    """A class outgrew max_class_size, or a quotient degree max_classes.
+
+    The question stays open.
+    """
 
     def __init__(self, message: str, word: Word | None = None,
                  degree: int | None = None):
@@ -150,9 +165,10 @@ class MinimalBasis:
     The hidden fields hold the class quotient the next degree is built
     from, and take no part in comparison.  Class ids follow the
     right-to-left order of the class minima, so id c is the class of
-    minimals[c].  ``_blocks`` maps each nonzero block, keyed d*(n+1) + a
-    for the words u + a with u in class d one degree down, to the id of
-    its class; a missing block is zero.  ``_sizes[c]`` is the exact number
+    minimals[c].  ``_blocks`` is a list indexed by slot d*(n+1) + a, for
+    the block of words u + a with u in class d one degree down: it holds
+    the id of the block's class, or -1 when the block is zero (so is slot
+    d*(n+1), which no letter fills).  ``_sizes[c]`` is the exact number
     of words in class c, and ``_rules`` the presentation and mode they
     were built under.  Which minimal words are singular is answered by
     ``iter_singular_sets``, not by a basis.
@@ -161,7 +177,7 @@ class MinimalBasis:
     degree: int
     minimals: tuple
     _rules: _Rules | None = field(default=None, compare=False, repr=False)
-    _blocks: dict | None = field(default=None, compare=False, repr=False)
+    _blocks: list | None = field(default=None, compare=False, repr=False)
     _sizes: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -198,12 +214,12 @@ class _Rules:
     delta << k*j to a word swaps its pair at position j.  ``zero_codes``
     holds the pair codes of the zero monomials, and zero_before[b] the
     letters a with a b a zero monomial, for block walks.  The class
-    quotient reads the same facts by first letter: joins[a] lists
-    (b, ((r0, r1), ...)) for each letter b such that a b swaps to r0 r1,
-    and zero_after[a] the letters b with a b a zero monomial.  ``fate`` is
-    None until a class quotient under these rules is seen to end, then
-    ("dies", m) when degree m has no class, or ("repeats", m) when degree
-    m's blocks map equals degree m-1's.
+    quotient reads the same facts by first letter: joins[a] lists a triple
+    (b, r0, r1) for each swap a b -> r0 r1, and zero_after[a] the letters
+    b with a b a zero monomial.  ``fate`` is None until a class quotient
+    under these rules is seen to end, then ("dies", m) when degree m has
+    no class, or ("repeats", m) when degree m's blocks equal degree
+    m-1's.
     """
 
     __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
@@ -220,7 +236,8 @@ class _Rules:
         self.zero_codes = frozenset(a | b << k for a, b in zeros)
         self.zero_before = tuple(frozenset(z[0] for z in zeros if z[1] == b)
                                  for b in range(n + 1))
-        self.joins = tuple(tuple((b, swap[a, b]) for b in range(n + 1) if (a, b) in swap)
+        self.joins = tuple(tuple((b, r0, r1) for b in range(n + 1) if (a, b) in swap
+                                 for r0, r1 in swap[a, b])
                            for a in range(n + 1))
         self.zero_after = tuple(tuple(z[1] for z in zeros if z[0] == a)
                                 for a in range(n + 1))
@@ -287,6 +304,10 @@ def _exhausted(word: Word, cap: int) -> ResourceExhausted:
         word=word,
         degree=len(word),
     )
+
+
+def _too_wide(degree: int, cap: int) -> ResourceExhausted:
+    return ResourceExhausted(f"degree {degree} has more than {cap} classes", degree=degree)
 
 
 def _holds_zero(w: int, rules: _Rules) -> bool:
@@ -707,81 +728,110 @@ def initial_basis(p: Presentation, mode: IdealMode = IdealMode.FULL) -> MinimalB
     rules = _rules(p, mode)
     n = rules.n
     minimals = tuple((x,) for x in range(1, n + 1))
-    return MinimalBasis(1, minimals, rules, {a: a - 1 for a in range(1, n + 1)},
-                        (1,) * n)
+    return MinimalBasis(1, minimals, rules, [-1, *range(n)], (1,) * n)
 
 
-def _quotient_step(basis: MinimalBasis, rules: _Rules, cap: int) -> MinimalBasis:
+def _same_blocks(new: list, old: list) -> bool:
+    """True when two blocks lists agree, trailing zero slots ignored."""
+    m = min(len(new), len(old))
+    return (new[:m] == old[:m] and all(c < 0 for c in new[m:])
+            and all(c < 0 for c in old[m:]))
+
+
+def _quotient_step(basis: MinimalBasis, rules: _Rules, limits: EngineLimits) -> MinimalBasis:
     """The basis one degree above ``basis``, from its class quotient alone.
 
-    With w = n + 1, block c*w + b holds the words u + b with u in class c.
-    It is zero when a last letter of class c makes a zero monomial with b,
-    and it joins block t*w + r1 for every block d*w + a of class c and
-    every swap a b -> r0 r1, where t is the class of block d*w + r0; a
-    missing t makes it zero.  Zero spreads over its component.
-    ResourceExhausted when a nonzero class has more than ``cap`` words.  A
-    new degree with no class, or with the same blocks map as ``basis``,
-    sets ``rules.fate`` (before the cap is checked) if it is not yet known.
+    With w = n + 1, slot c*w + b stands for the block of words u + b with
+    u in class c.  It is zero when a last letter of class c makes a zero
+    monomial with b, and it joins slot t*w + r1 for every nonzero slot
+    d*w + a of class c and every swap a b -> r0 r1, where t is the class
+    of slot d*w + r0; a zero slot d*w + r0 makes it zero.  Zero spreads
+    over its component.  The union-find links the larger root under the
+    smaller, so parent[x] <= x throughout and one ascending pass leaves
+    every slot at its root.  ResourceExhausted when the new degree has
+    more than limits.max_classes classes, or a nonzero class more than
+    limits.max_class_size words.  A new degree with no class, or with the
+    same blocks as ``basis``, sets ``rules.fate`` (before the caps are
+    checked) if it is not yet known.
     """
     w = rules.n + 1
     joins = rules.joins
     zero_after = rules.zero_after
     minimals = basis.minimals
     blocks = basis._blocks
-    parent = list(range(len(minimals) * w))
+    count = len(minimals)
+    parent = list(range(count * w))
     zero = []
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        return u
-
-    for block, c in blocks.items():
-        a = block % w
-        below = block - a
-        base = c * w
-        for b in zero_after[a]:
-            zero.append(base + b)
-        for b, reps in joins[a]:
-            u = base + b
-            for r0, r1 in reps:
-                t = blocks.get(below + r0)
-                if t is None:
-                    zero.append(u)
+    for a in range(1, w):
+        za = zero_after[a]
+        ja = joins[a]
+        if not za and not ja:
+            continue
+        row = -w
+        for c in blocks[a::w]:
+            row += w
+            if c < 0:
+                continue
+            base = c * w
+            for b in za:
+                zero.append(base + b)
+            for b, r0, r1 in ja:
+                t = blocks[row + r0]
+                if t < 0:
+                    zero.append(base + b)
                     continue
-                ru = find(u)
-                rv = find(t * w + r1)
-                if ru != rv:
-                    parent[rv] = ru
-    dead = {find(u) for u in zero}
-    # scanning blocks by last letter, then by class, meets each class first
-    # at its minimum and the classes in rtl order of their minima
-    ids: dict = {}
+                x = base + b
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                y = t * w + r1
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+    for x in range(count * w):
+        parent[x] = parent[parent[x]]
+    dead = bytearray(count * w)
+    for x in zero:
+        dead[parent[x]] = 1
+    # scanning slots by last letter, then by class, meets each class first
+    # at its minimum and the classes in rtl order of their minima; a
+    # degree with more classes than the one below neither dies nor repeats
+    width = limits.max_classes
+    limit = max(width, count)
+    ids = [-1] * (count * w)
     new_min = []
     new_size = []
-    new_blocks = {}
+    new_blocks = [-1] * (count * w)
     sizes = basis._sizes
+    degree = basis.degree + 1
     for b in range(1, w):
         letter = (b,)
-        for c in range(len(minimals)):
-            u = c * w + b
-            r = find(u)
-            if r in dead:
+        u = b - w
+        for c in range(count):
+            u += w
+            r = parent[u]
+            if dead[r]:
                 continue
-            k = ids.get(r)
-            if k is None:
+            k = ids[r]
+            if k < 0:
                 k = ids[r] = len(new_min)
+                if k == limit:
+                    raise _too_wide(degree, width)
                 new_min.append(minimals[c] + letter)
                 new_size.append(sizes[c])
             else:
                 new_size[k] += sizes[c]
             new_blocks[u] = k
-    degree = basis.degree + 1
     if rules.fate is None:
         if not new_min:
             rules.fate = ("dies", degree)
-        elif new_blocks == blocks:
+        elif len(new_min) == count and _same_blocks(new_blocks, blocks):
             rules.fate = ("repeats", degree)
+    if len(new_min) > width:
+        raise _too_wide(degree, width)
+    cap = limits.max_class_size
     for k, size in enumerate(new_size):
         if size > cap:
             raise _exhausted(new_min[k], cap)
@@ -796,17 +846,17 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
     The class quotient carried by ``basis`` gives the next degree's
     classes without walking them; a basis that carries none, or one built
     for another presentation or mode, has its quotient rebuilt from degree
-    1.  ResourceExhausted when a nonzero class has more than
+    1.  ResourceExhausted when the new degree has more than
+    limits.max_classes classes, or a nonzero class more than
     limits.max_class_size words.
     """
     rules = _rules(p, mode)
-    cap = limits.max_class_size
     if basis._rules is not rules:
         start = initial_basis(p, mode)
         while start.degree < basis.degree:
-            start = _quotient_step(start, rules, cap)
+            start = _quotient_step(start, rules, limits)
         basis = start
-    return _quotient_step(basis, rules, cap)
+    return _quotient_step(basis, rules, limits)
 
 
 def _require_qhs(p: Presentation) -> None:
@@ -878,7 +928,7 @@ def _full_fate(p: Presentation, limits: EngineLimits):
     """``_rules(p, FULL).fate``, stepping the FULL quotient to learn it if unknown.
 
     The steps go up to degree limits.max_degree + 1 and stop early when
-    the quotient dies, repeats or outgrows limits.max_class_size.  None
+    the quotient dies, repeats or outgrows a limit.  None
     when it was not seen to die or repeat.
     """
     rules = _rules(p, IdealMode.FULL)
@@ -886,7 +936,7 @@ def _full_fate(p: Presentation, limits: EngineLimits):
         basis = initial_basis(p)
         try:
             while rules.fate is None and basis.degree <= limits.max_degree:
-                basis = _quotient_step(basis, rules, limits.max_class_size)
+                basis = _quotient_step(basis, rules, limits)
         except ResourceExhausted:
             pass
     return rules.fate

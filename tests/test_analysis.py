@@ -70,6 +70,16 @@ class TestProfiles:
         assert profile.exhausted == 8
         assert profile.dims == (1, 2, 3, 4, 5, 6, 7, 8)
 
+    def test_exhaustion_at_the_first_degree_past_the_width_cap(self):
+        # with only x1x1 zero, degrees 6 and 7 have 448 and 1224 classes
+        p = presentation(3, [Relation.zero(1, 1)])
+        profile = hilbert_profile(p, 12, limits=EngineLimits(max_classes=1000))
+        assert profile.exhausted == 7
+        assert profile.dims == (1, 3, 8, 22, 60, 164, 448)
+        assert profile.detail == "degree 7 has more than 1000 classes"
+        profile = hilbert_profile(p, 7, limits=EngineLimits(max_classes=1224))
+        assert (profile.truncated_at, profile.dims[-1]) == (7, 1224)
+
     def test_zero_classes_are_not_sized(self):
         # every nonzero class up to degree 7 has at most 7 words, but the
         # zero class of x1x2x1x2x1x2x2 has 12
@@ -122,6 +132,7 @@ class TestExports:
             "nilpotency_index": 3,
             "truncated_at": None,
             "exhausted": None,
+            "detail": "",
             "verdict": "finite:3",
         }
 

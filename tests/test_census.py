@@ -23,16 +23,20 @@ from small_qhs import qhs_census
 N5_TABLE = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "census_n5.json"
 
 
-def _n5_hilbert_table():
-    """The n=5 QHS in content order, with their Hilbert verdicts from the table.
+def _n5_verdicts():
+    """The table's "regularity/hilbert" verdict of each n=5 QHS, in content order.
 
     The table is the benchmark's census, computed by whole-class walks: one
     verdict code per presentation, presentations in content order.
     """
     table = json.loads(N5_TABLE.read_text())
     codes = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    expected = [table["verdicts"][codes.index(c)].split("/")[1]
-                for c in table["verdict_codes"]]
+    return [table["verdicts"][codes.index(c)] for c in table["verdict_codes"]]
+
+
+def _n5_hilbert_table():
+    """The n=5 QHS in content order, with their Hilbert verdicts from the table."""
+    expected = [verdict.split("/")[1] for verdict in _n5_verdicts()]
     ranked = sorted(enumerate_qhs(5), key=lambda p: tuple(
         (r.left, r.right or (0, 0)) for r in p.relations))
     return ranked, expected
@@ -69,6 +73,18 @@ class TestQhsEnumeration:
         for i, p in enumerate(ranked):
             profile = hilbert_profile(p, limits.max_degree, limits=limits)
             assert profile.verdict == expected[i], (i, p)
+
+    def test_n5_nilpotency_within_one_of_regularity(self):
+        # a degree r with no singular words makes the algebra nilpotent of
+        # index at most r + 1, so every decided row has N <= r + 1
+        decided = 0
+        for verdict in _n5_verdicts():
+            regularity, hilbert = verdict.split("/")
+            if regularity.startswith("regular:") and hilbert.startswith("finite:"):
+                decided += 1
+                r = int(regularity.split(":")[1])
+                assert int(hilbert.split(":")[1]) <= r + 1, (regularity, hilbert)
+        assert decided == 37414
 
     @pytest.mark.slow
     def test_n5_open_profiles_are_irregular_without_a_walk(self, monkeypatch):

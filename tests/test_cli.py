@@ -34,6 +34,15 @@ def free2_file(tmp_path):
 
 
 @pytest.fixture
+def wide_file(tmp_path):
+    # with no binomial every class is one word, so the quotient's width
+    # grows about 2.7x per degree
+    path = tmp_path / "wide.txt"
+    path.write_text("generators 3\nx1*x1 = 0\n")
+    return str(path)
+
+
+@pytest.fixture
 def tower5_file(tmp_path, tower5):
     path = tmp_path / "tower5.txt"
     path.write_text(render_presentation(tower5))
@@ -118,6 +127,22 @@ class TestBuildExtend:
         assert "error: extension requires a valid QHS inner presentation" in err
 
 
+def _cli_in_limited_memory(argv, limit):
+    """Run the CLI in a child process whose address space is capped at limit bytes."""
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.dirname(os.path.dirname(quadsemi.__file__))
+    env = {key: value for key, value in os.environ.items()
+           if key != "QUADSEMI_CACHE_DIR"}
+    env["PYTHONPATH"] = src
+    return subprocess.run([sys.executable, "-m", "quadsemi.cli", *argv],
+                          env=env, preexec_fn=cap_memory, capture_output=True,
+                          text=True, timeout=300)
+
+
 class TestHilbert:
     def test_text_output(self, m2_file, capsys):
         assert main(["hilbert", m2_file]) == 0
@@ -146,27 +171,39 @@ class TestHilbert:
             main(["hilbert", m2_file, "--csv", "--json"])
         assert err.value.code == 1
 
-    def test_out_of_memory_is_inconclusive(self, tmp_path):
-        # with no binomial every class is one word, so the quotient's width
-        # grows about 2.7x per degree until memory runs out; the address
-        # space limit is set in the child process only
-        resource = pytest.importorskip("resource")
-        path = tmp_path / "wide.txt"
-        path.write_text("generators 3\nx1*x1 = 0\n")
-        limit = 400 << 20
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        src = os.path.dirname(os.path.dirname(quadsemi.__file__))
-        env = {key: value for key, value in os.environ.items()
-               if key != "QUADSEMI_CACHE_DIR"}
-        env["PYTHONPATH"] = src
-        run = subprocess.run([sys.executable, "-m", "quadsemi.cli", "hilbert", str(path)],
-                             env=env, preexec_fn=cap_memory, capture_output=True,
-                             text=True, timeout=300)
+    def test_out_of_memory_is_inconclusive(self, wide_file):
+        # a width cap past reach lets the quotient grow until memory runs out
+        run = _cli_in_limited_memory(
+            ["--max-classes", str(10 ** 9), "hilbert", wide_file], 400 << 20)
         assert run.returncode == 2, run.stderr
         assert run.stderr == "inconclusive: out of memory\n"
+
+    def test_width_cap_is_inconclusive(self, wide_file, capsys):
+        assert main(["--max-classes", "1000", "hilbert", wide_file]) == 2
+        out = capsys.readouterr().out
+        assert out.endswith("degree 6: 448\n"
+                            "inconclusive at degree 7: degree 7 has more than 1000 classes\n")
+
+    def test_default_width_cap_ends_the_run_before_memory(self, wide_file):
+        # the default width cap stops the quotient at degree 14, after
+        # 508,992 classes at degree 13; the address space limit only turns
+        # a runaway into a failure
+        run = _cli_in_limited_memory(["nilpotency", wide_file], 1536 << 20)
+        assert run.returncode == 2, run.stderr
+        assert run.stdout == ("inconclusive at degree 14: "
+                              "degree 14 has more than 1000000 classes\n")
+
+    def test_width_cap_is_part_of_the_cache_key(self, m2_file, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        assert main(["--cache", cache, "--max-classes", "1", "hilbert", m2_file]) == 2
+        assert "degree 2 has more than 1 classes" in capsys.readouterr().out
+        assert main(["--cache", cache, "hilbert", m2_file]) == 0
+        assert "nilpotency index 3" in capsys.readouterr().out
+        assert main(["--cache", cache, "--max-classes", "1", "regularity", m2_file]) == 0
+        assert main(["--cache", cache, "regularity", m2_file]) == 0
+        records = (tmp_path / "cache" / "runs.jsonl").read_text().splitlines()
+        assert [json.loads(line)["parameters"]["max_classes"] for line in records] == [
+            1, 1_000_000, 1, 1_000_000]
 
 
 class TestNilpotency:

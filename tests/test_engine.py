@@ -513,6 +513,20 @@ class TestSingularBlocks:
         assert minimal_monomial((1, 1, 3), p) == (1, 2, 2)
 
 
+# _full_fate of each presentation of enumerate_presentations(2, 3) at
+# max_degree 8, in enumeration order: "d3" dies at degree 3, "r2" repeats at
+# degree 2, "-" neither within the limit
+FATES_2_3 = (
+    "- - - - - - - - - - r3 r3 r3 r3 r3 r3 r3 d4 d4 r3 r3 r5 r3 r2 d3 r2 "
+    "r4 r5 r3 r3 d4 r5 r5 r3 r3 r3 r3 d3 r4 r3 r3 d4 r5 r3 r5 r3 r3 r3 r3 "
+    "r3 r2 r3 r5 r5 r3 r3 r4 r4 r4 d3 d3 d3 d3 r4 r4 r4 d3 d3 d3 d3 r3 r4 "
+    "d3 d3 d3 d3 r4 d3 d3 d3 d3 d3 d3 d3 d3 r3 d3 d3 d3 d3 d3 r4 r4 r4 d3 "
+    "d3 d3 d3 r4 r3 r3 d3 r3 r3 r4 d3 d3 d3 d3 r3 d3 r3 r3 d3 r2 r3 d3 d3 "
+    "r3 r4 r4 d3 d3 d3 d3 r3 d3 r4 r4 r4 d3 r4 r4 r4 d3 d3 d3 r5 r4 r4 r4 "
+    "d3 d3 d3 d3 r3 d3 r3 r3 d3 r3 r3 d3 d3 r3 d3 r4 r4 r4 d3 d3 d3 r4 r5 "
+    "r4 d3 r3 r3 r4 r4 r3 d3 d3 r3 r4")
+
+
 def _walk_only(p, limits):
     """(status, degree) of regularity_degree as found by the singular-set walk alone."""
     last = 0
@@ -586,6 +600,22 @@ class TestRepeatingQuotient:
                     for k in range(m - 1, top + 1)}
             assert len(dims) == 1 and 0 not in dims, (p, fate, dims)
         assert repeats > 0
+
+    def test_trailing_zero_slots_still_repeat(self):
+        # degree 2's classes x1x1 and x1x2 fill degree 1's slots with degree
+        # 1's ids, and the three slots after x2 are zero: the blocks repeat
+        # only once those trailing zero slots are ignored
+        p = parse_presentation("generators 2\nx2*x2 = 0\nx2*x1 = 0\n")
+        engine._rules.cache_clear()
+        assert engine._full_fate(p, EngineLimits(max_degree=8)) == ("repeats", 2)
+
+    def test_fates_are_frozen(self):
+        fates = []
+        for p in enumerate_presentations(2, 3):
+            engine._rules.cache_clear()
+            fate = engine._full_fate(p, EngineLimits(max_degree=8))
+            fates.append("-" if fate is None else f"{fate[0][0]}{fate[1]}")
+        assert " ".join(fates) == FATES_2_3
 
     def test_capped_run_is_settled_where_the_walk_is_inconclusive(self):
         # more conclusive, not looser: the repeat is exact whatever the cap
