@@ -69,8 +69,9 @@ blocks equal the ones they were built from (zero slots past the last
 nonzero one aside) and the degree still has classes, every later degree
 repeats them, and the algebra is infinite-dimensional.  ``_quotient_step``
 records that fixed point, or the degree where no class is left, on the
-``_Rules`` it was given; both facts hold whatever the caps, so later calls
-for the same presentation and mode share them.  A repeating FULL quotient
+``_Rules`` it was given, keyed by the class-size and width caps of its
+chain; a call reads it under its own caps and degree cap only, so every
+engine answer is a function of its arguments.  A repeating FULL quotient
 settles regularity: a degree with no singular words would make the algebra
 nilpotent of index at most one more than that degree, so an infinite
 algebra has singular words in every degree and ``regularity_degree`` need
@@ -101,7 +102,7 @@ from .model import (
     monomial_str,
 )
 
-ENGINE_VERSION = "1.3.1"
+ENGINE_VERSION = "1.3.2"
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,9 @@ class MinimalBasis:
     the block of words u + a with u in class d one degree down: it holds
     the id of the block's class, or -1 when the block is zero (so is slot
     d*(n+1), which no letter fills).  ``_sizes[c]`` is the exact number
-    of words in class c, and ``_rules`` the presentation and mode they
-    were built under.  Which minimal words are singular is answered by
-    ``iter_singular_sets``, not by a basis.
+    of words in class c; ``_rules`` and ``_caps`` hold the presentation,
+    mode and caps (None at degree 1) that they were built under.  Which
+    minimal words are singular is answered by ``iter_singular_sets``.
     """
 
     degree: int
@@ -179,6 +180,7 @@ class MinimalBasis:
     _rules: _Rules | None = field(default=None, compare=False, repr=False)
     _blocks: list | None = field(default=None, compare=False, repr=False)
     _sizes: tuple | None = field(default=None, compare=False, repr=False)
+    _caps: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -216,19 +218,19 @@ class _Rules:
     letters a with a b a zero monomial, for block walks.  The class
     quotient reads the same facts by first letter: joins[a] lists a triple
     (b, r0, r1) for each swap a b -> r0 r1, and zero_after[a] the letters
-    b with a b a zero monomial.  ``fate`` is None until a class quotient
-    under these rules is seen to end, then ("dies", m) when degree m has
-    no class, or ("repeats", m) when degree m's blocks equal degree
-    m-1's.
+    b with a b a zero monomial.  ``fates`` maps (max_class_size,
+    max_classes) to the first end met by a class quotient stepped from
+    degree 1 under those caps: ("dies", m) when degree m has no class, or
+    ("repeats", m) when degree m's blocks equal degree m-1's.
     """
 
     __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
-                 "zero_after", "fate")
+                 "zero_after", "fates")
 
     def __init__(self, n, swap, zeros):
         self.n = n
         self.k = k = n.bit_length()
-        self.fate = None
+        self.fates = {}
         swaps = [None] * (1 << 2 * k)
         for (a, b), reps in swap.items():
             swaps[a | b << k] = tuple(r0 - a + (r1 - b << k) for r0, r1 in reps)
@@ -348,13 +350,13 @@ def _top_suffix_witness(v: int, w: int, k: int, top: int, above: int) -> bool:
     return (v >> k * h) & ((1 << k) - 1) == top or above > h
 
 
-# Budget of words the singular-set steps keep at once: the singular
-# classes handed down from the degree below, spelled out word by word, and
-# the singular classes the current step keeps for the next degree, counted
-# by size although only the ones handed down are spelled out.  A class past
-# the budget is not kept, and its extensions are walked word by word one
-# degree up.
-_MEMO_WORD_BUDGET = 2_000_000
+# Budget of words in the singular classes the singular-set steps keep and
+# hand down: the classes handed down from the degree below, spelled out word
+# by word, and the classes the current step keeps for the next degree,
+# counted by size although only the ones handed down are spelled out.  A
+# class past the budget is not kept, and its extensions are walked word by
+# word one degree up.
+_KEPT_WORD_BUDGET = 2_000_000
 
 
 def _block_walk(c: int, rules: _Rules, cap: int, below: dict, seen: set,
@@ -541,9 +543,9 @@ def _singular_step(cands: list, rules: _Rules, cap: int, below: dict):
     that were kept, each as (key, minimum, words walked one by one in
     discovery order, blocks, size) for ``_hand_down``.  The classes kept,
     counted by size, together with the words of ``below``, stay within
-    ``_MEMO_WORD_BUDGET``, which bounds nothing else.
+    ``_KEPT_WORD_BUDGET``, which bounds nothing else.
     """
-    room = _MEMO_WORD_BUDGET - len(below)
+    room = _KEPT_WORD_BUDGET - len(below)
     sing = []
     kept = []
     for c in cands:
@@ -751,8 +753,8 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, limits: EngineLimits) -> 
     every slot at its root.  ResourceExhausted when the new degree has
     more than limits.max_classes classes, or a nonzero class more than
     limits.max_class_size words.  A new degree with no class, or with the
-    same blocks as ``basis``, sets ``rules.fate`` (before the caps are
-    checked) if it is not yet known.
+    same blocks as ``basis``, goes into ``rules.fates`` under the caps of
+    ``limits``, the caps of ``basis``'s chain, before they are checked.
     """
     w = rules.n + 1
     joins = rules.joins
@@ -798,7 +800,7 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, limits: EngineLimits) -> 
     # scanning slots by last letter, then by class, meets each class first
     # at its minimum and the classes in rtl order of their minima; a
     # degree with more classes than the one below neither dies nor repeats
-    width = limits.max_classes
+    cap, width = caps = (limits.max_class_size, limits.max_classes)
     limit = max(width, count)
     ids = [-1] * (count * w)
     new_min = []
@@ -824,18 +826,17 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, limits: EngineLimits) -> 
             else:
                 new_size[k] += sizes[c]
             new_blocks[u] = k
-    if rules.fate is None:
+    if caps not in rules.fates:
         if not new_min:
-            rules.fate = ("dies", degree)
+            rules.fates[caps] = ("dies", degree)
         elif len(new_min) == count and _same_blocks(new_blocks, blocks):
-            rules.fate = ("repeats", degree)
+            rules.fates[caps] = ("repeats", degree)
     if len(new_min) > width:
         raise _too_wide(degree, width)
-    cap = limits.max_class_size
     for k, size in enumerate(new_size):
         if size > cap:
             raise _exhausted(new_min[k], cap)
-    return MinimalBasis(degree, tuple(new_min), rules, new_blocks, tuple(new_size))
+    return MinimalBasis(degree, tuple(new_min), rules, new_blocks, tuple(new_size), caps)
 
 
 def next_minimal_basis(basis: MinimalBasis, p: Presentation,
@@ -845,13 +846,14 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
 
     The class quotient carried by ``basis`` gives the next degree's
     classes without walking them; a basis that carries none, or one built
-    for another presentation or mode, has its quotient rebuilt from degree
-    1.  ResourceExhausted when the new degree has more than
-    limits.max_classes classes, or a nonzero class more than
-    limits.max_class_size words.
+    for another presentation or mode or under other caps, has its quotient
+    rebuilt from degree 1 under these caps.  ResourceExhausted when the
+    new degree has more than limits.max_classes classes, or a nonzero
+    class more than limits.max_class_size words.
     """
     rules = _rules(p, mode)
-    if basis._rules is not rules:
+    caps = (limits.max_class_size, limits.max_classes)
+    if basis._rules is not rules or basis._caps not in (None, caps):
         start = initial_basis(p, mode)
         while start.degree < basis.degree:
             start = _quotient_step(start, rules, limits)
@@ -885,7 +887,7 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     # a single letter packs to itself, and each singular letter is a class
     # of its own
     sing = list(letters[:-1])
-    kept = [(~i << 8, w, (w,), {}, 1) for i, w in enumerate(sing[:_MEMO_WORD_BUDGET])]
+    kept = [(~i << 8, w, (w,), {}, 1) for i, w in enumerate(sing[:_KEPT_WORD_BUDGET])]
     yield 1, tuple((w,) for w in sing)
     degree = 1
     while sing and degree < limits.max_degree:
@@ -925,21 +927,24 @@ def singular_monomials(p: Presentation, m: int,
 
 
 def _full_fate(p: Presentation, limits: EngineLimits):
-    """``_rules(p, FULL).fate``, stepping the FULL quotient to learn it if unknown.
+    """The FULL quotient's fate under the caps of ``limits``, stepping it if unknown.
 
-    The steps go up to degree limits.max_degree + 1 and stop early when
-    the quotient dies, repeats or outgrows a limit.  None
-    when it was not seen to die or repeat.
+    Steps up to degree limits.max_degree + 1, stopping when the quotient
+    dies, repeats or outgrows a limit; None when it was not seen to die or
+    repeat by then.  Only chains stepped from degree 1 under one set of caps
+    fill the record: ``next_minimal_basis`` rebuilds a basis of other caps.
     """
     rules = _rules(p, IdealMode.FULL)
-    if rules.fate is None:
+    caps = (limits.max_class_size, limits.max_classes)
+    if caps not in rules.fates:
         basis = initial_basis(p)
         try:
-            while rules.fate is None and basis.degree <= limits.max_degree:
+            while caps not in rules.fates and basis.degree <= limits.max_degree:
                 basis = _quotient_step(basis, rules, limits)
         except ResourceExhausted:
             pass
-    return rules.fate
+    fate = rules.fates.get(caps)
+    return fate if fate is not None and fate[1] <= limits.max_degree + 1 else None
 
 
 def regularity_degree(p: Presentation,

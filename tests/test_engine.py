@@ -426,12 +426,13 @@ class TestSingularBlocks:
     """The singular-set step walks blocks of the singular classes one degree down."""
 
     @pytest.mark.parametrize("budget", [0, 40])
-    def test_classes_past_the_memo_budget_are_walked_word_by_word(
+    def test_classes_past_the_kept_word_budget_are_walked_word_by_word(
             self, monkeypatch, tower5, budget):
-        # budget 0 keeps no class; 40 keeps some classes of tower n=5 and not others
+        # budget 0 keeps and hands down no class; 40 keeps some classes of
+        # tower n=5 and not others
         cases = _small_qhs_and_tower5(tower5)
         unbounded = [_chain(p) for p in cases]
-        monkeypatch.setattr(engine, "_MEMO_WORD_BUDGET", budget)
+        monkeypatch.setattr(engine, "_KEPT_WORD_BUDGET", budget)
         assert [_chain(p) for p in cases] == unbounded
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13])
@@ -440,8 +441,8 @@ class TestSingularBlocks:
         exact = [regularity_degree(p, EngineLimits(max_degree=12)) for p in cases]
         limits = EngineLimits(max_class_size=cap, max_degree=12)
         # budget 0 keeps no class, so every walk goes word by word
-        for budget in (engine._MEMO_WORD_BUDGET, 0):
-            monkeypatch.setattr(engine, "_MEMO_WORD_BUDGET", budget)
+        for budget in (engine._KEPT_WORD_BUDGET, 0):
+            monkeypatch.setattr(engine, "_KEPT_WORD_BUDGET", budget)
             for p, want in zip(cases, exact):
                 capped = regularity_degree(p, limits)
                 if capped.status == "inconclusive":
@@ -544,6 +545,24 @@ def _no_walk(*_args, **_kwargs):
     raise AssertionError("the singular sets were walked")
 
 
+def _caps(limits):
+    """The key of a fate record: the caps that bound a quotient chain."""
+    return limits.max_class_size, limits.max_classes
+
+
+def _census_open_steps(monkeypatch):
+    """CENSUS_OPEN and a list that gains one entry per class quotient step."""
+    steps = []
+    step = engine._quotient_step
+
+    def counted(*args):
+        steps.append(args[0].degree + 1)
+        return step(*args)
+
+    monkeypatch.setattr(engine, "_quotient_step", counted)
+    return parse_presentation(CENSUS_OPEN), steps
+
+
 class TestRepeatingQuotient:
     """A repeating FULL class quotient settles regularity without a walk."""
 
@@ -562,10 +581,69 @@ class TestRepeatingQuotient:
         p = parse_presentation(CENSUS_OPEN)
         engine._rules.cache_clear()
         hilbert_profile(p, 12)
-        assert engine._rules(p, FULL).fate == ("repeats", 8)
+        assert engine._rules(p, FULL).fates == {_caps(DEFAULT_LIMITS): ("repeats", 8)}
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
         monkeypatch.setattr(engine, "_quotient_step", _no_walk)
         assert regularity_degree(p, EngineLimits(max_degree=12)).status == "irregular_up_to"
+
+    def test_capped_answers_do_not_depend_on_an_earlier_profile(self):
+        # a fresh chain at these caps outgrows the cap before the repeat at
+        # degree 8, so the walk decides; a default-cap profile's repeat
+        # must not settle them
+        p = parse_presentation(CENSUS_OPEN)
+        caps = [EngineLimits(max_class_size=c, max_degree=12) for c in (3, 10, 30, 100)]
+        fresh = []
+        for limits in caps:
+            engine._rules.cache_clear()
+            fresh.append(regularity_degree(p, limits))
+        assert [(r.status, r.degree) for r in fresh] == [
+            ("inconclusive", 2), ("inconclusive", 3), ("inconclusive", 5),
+            ("inconclusive", 6)]
+        engine._rules.cache_clear()
+        hilbert_profile(p, 12)
+        assert [regularity_degree(p, limits) for limits in caps] == fresh
+
+    def test_a_profile_under_other_caps_is_not_shared(self, monkeypatch):
+        engine._rules.cache_clear()
+        p, steps = _census_open_steps(monkeypatch)
+        hilbert_profile(p, 12)
+        limits = EngineLimits(max_class_size=1000, max_degree=12)
+        del steps[:]
+        monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
+        assert regularity_degree(p, limits).status == "irregular_up_to"
+        assert steps == list(range(2, 9))
+        assert engine._rules(p, FULL).fates[_caps(limits)] == ("repeats", 8)
+        del steps[:]
+        assert regularity_degree(p, limits).status == "irregular_up_to"
+        assert steps == []
+
+    def test_a_fate_past_the_degree_cap_is_not_read(self, monkeypatch):
+        engine._rules.cache_clear()
+        p, steps = _census_open_steps(monkeypatch)
+        hilbert_profile(p, 12)
+        del steps[:]
+        # a fresh chain stops at degree 7 = max_degree + 1, before the repeat
+        assert engine._full_fate(p, EngineLimits(max_degree=6)) is None
+        assert engine._full_fate(p, EngineLimits(max_degree=7)) == ("repeats", 8)
+        assert steps == []
+
+    def test_a_chain_whose_caps_change_is_rebuilt(self, monkeypatch):
+        # stepped at the default caps to degree 7, the next step at cap 100
+        # would meet the repeat at degree 8; a fresh chain at cap 100
+        # outgrows it at degree 7 (169 words) and never sees the repeat
+        engine._rules.cache_clear()
+        p, steps = _census_open_steps(monkeypatch)
+        basis = initial_basis(p, FULL)
+        while basis.degree < 7:
+            basis = next_minimal_basis(basis, p, FULL)
+        small = EngineLimits(max_class_size=100, max_degree=12)
+        del steps[:]
+        with pytest.raises(ResourceExhausted) as err:
+            next_minimal_basis(basis, p, FULL, small)
+        assert err.value.degree == 7
+        assert steps == list(range(2, 8))
+        assert _caps(small) not in engine._rules(p, FULL).fates
+        assert engine._full_fate(p, small) is None
 
     def test_answers_equal_the_walk(self, tower5):
         limits = EngineLimits(max_degree=12)
