@@ -426,10 +426,10 @@ class TestSingularBlocks:
     """The singular-set step walks blocks of the singular classes one degree down."""
 
     @pytest.mark.parametrize("budget", [0, 40])
-    def test_classes_past_the_kept_word_budget_are_walked_word_by_word(
+    def test_classes_past_the_memo_budget_are_walked_word_by_word(
             self, monkeypatch, tower5, budget):
-        # budget 0 keeps and hands down no class; 40 keeps some classes of
-        # tower n=5 and not others
+        # the budget is _KEPT_WORD_BUDGET (once the memo budget): 0 keeps and
+        # hands down no class; 40 keeps some classes of tower n=5 and not others
         cases = _small_qhs_and_tower5(tower5)
         unbounded = [_chain(p) for p in cases]
         monkeypatch.setattr(engine, "_KEPT_WORD_BUDGET", budget)
