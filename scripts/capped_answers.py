@@ -1,29 +1,32 @@
-"""Capped regularity and power-witness answers on a fixed set of presentations, and their differential.
+"""Capped regularity, Hilbert and power-witness answers on a fixed set of presentations, and their differential.
 
-``write OUT`` runs ``regularity_degree`` with max_degree 12 at
-max_class_size 3, 10, 30, 100 and 1000 on every QHS with n <= 4, the tower
-presentations n = 5 and 6 and every 97th n = 5 QHS, and ``power_witness``
-on each tower at the same caps and at the default cap.  It writes the
-answers as JSON, each with its ``detail`` (for a capped run, the word
-where it stopped).  A witness answer is ``found:`` with the witness, or
+``write OUT`` runs ``regularity_degree`` with max_degree 12, and
+``hilbert_profile`` to degree 12, at max_class_size 3, 10, 30, 100 and
+1000 on every QHS with n <= 4, the tower presentations n = 5 and 6 and
+every 97th n = 5 QHS, and ``power_witness`` on each tower at the same caps
+and at the default cap.  It writes the answers as JSON, each with its
+``detail`` (for a capped run, the word or degree where it stopped).  A
+profile answer is its verdict: ``finite:N``, ``open:12`` or
+``inconclusive:D``.  A witness answer is ``found:`` with the witness, or
 ``none:`` when the class holds no member ending in the top letter, or
 ``inconclusive:0`` at the cap.  ``compare OLD NEW`` lists every answer or
 detail that moved between two such files and exits 1 when a conclusive
 answer changed (a found witness moved or became none, say) or an answer
 became less conclusive (an inconclusive answer is more conclusive the
-higher its degree, and any conclusive one more so); a moved detail alone
-is listed but does not fail.  To check an engine change, run this one
-script's ``write`` twice, once with each checkout's ``src`` on PYTHONPATH,
-then ``compare`` the two files.  Both files must be written by the same
-script: an answer that only one of them holds fails the comparison.  The full
-set gives 3697 answers (3685 regularity, 12 witness) in about 5 s on a
-2-vCPU host.
+higher its degree, and any conclusive one, ``finite`` and ``open``
+included, more so); a moved detail alone is listed but does not fail.  To
+check an engine change, run this one script's ``write`` twice, once with
+each checkout's ``src`` on PYTHONPATH, then ``compare`` the two files.
+Both files must be written by the same script: an answer that only one of
+them holds fails the comparison.  The full set gives 7382 answers (3685
+regularity, 3685 Hilbert, 12 witness) in about 4 s on a 2-vCPU host.
 """
 
 import argparse
 import json
 import sys
 
+from quadsemi.analysis import hilbert_profile
 from quadsemi.census import enumerate_qhs
 from quadsemi.constructions import build_regular_qhs, power_witness
 from quadsemi.engine import (
@@ -73,6 +76,8 @@ def write(args) -> int:
             limits = EngineLimits(max_class_size=cap, max_degree=MAX_DEGREE)
             result = regularity_degree(p, limits)
             answers[f"{key}@{cap}"] = [label, answer(result), result.detail]
+            profile = hilbert_profile(p, MAX_DEGREE, limits=limits)
+            answers[f"{key}@{cap}:hilbert"] = [label, profile.verdict, profile.detail]
     for n in args.towers:
         p = build_regular_qhs(n)
         key = presentation_hash(p)

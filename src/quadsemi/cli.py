@@ -84,8 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--max-class-size", type=_positive, default=None, metavar="N",
-        help="largest coset class considered: a class of more than N words "
-        f"makes the answer inconclusive (default {DEFAULT_LIMITS.max_class_size})",
+        help="most words one class walk may visit: a longer walk makes a "
+        "regularity, singular, lemma-m1 or witness-power answer inconclusive; "
+        "dimension answers walk no class "
+        f"(default {DEFAULT_LIMITS.max_class_size})",
     )
     parser.add_argument(
         "--max-classes", type=_positive, default=None, metavar="N",
@@ -250,8 +252,7 @@ def _cmd_extend(args) -> int:
 
 def _hilbert_result(args, p, cap: int) -> dict:
     limits = _limits(args)
-    parameters = {"max_degree": cap, "max_class_size": limits.max_class_size,
-                  "max_classes": limits.max_classes}
+    parameters = {"max_degree": cap, "max_classes": limits.max_classes}
     return _cached_result(
         args,
         presentation_hash(p),

@@ -13,7 +13,7 @@ the first m letters of a degree-(m+1) word only moves its prefix within
 the prefix's degree-m class, so each degree-(m+1) class is a union of
 blocks (degree-m class, last letter), and only a swap at the last position
 joins two blocks.  ``_quotient_step`` joins the blocks with a union-find,
-which gives every class exactly: zero or not, its size, and its minimum.
+which gives every class exactly: zero or not, and its minimum.
 The right-to-left order compares last letters first, so the minimum is the
 class minimum one degree down, extended by the least last letter.  This
 needs neither completion nor confluence of the directed rewriting system.
@@ -64,22 +64,25 @@ memo of the classes its earlier walks settled.
 
 The class quotient also settles some infinite algebras outright.  The next
 degree's blocks come from the current ones and the rules alone: the minimum
-words and sizes ride along but feed nothing back.  So when a degree's
-blocks equal the ones they were built from (zero slots past the last
-nonzero one aside) and the degree still has classes, every later degree
-repeats them, and the algebra is infinite-dimensional.  ``_quotient_step``
-records that fixed point, or the degree where no class is left, on the
-``_Rules`` it was given, keyed by the class-size and width caps of its
-chain; a call reads it under its own caps and degree cap only, so every
-engine answer is a function of its arguments.  A repeating FULL quotient
-settles regularity: a degree with no singular words would make the algebra
-nilpotent of index at most one more than that degree, so an infinite
-algebra has singular words in every degree and ``regularity_degree`` need
-not walk them.
+words ride along but feed nothing back.  So when a degree's blocks equal
+the ones they were built from (zero slots past the last nonzero one aside)
+and the degree still has classes, every later degree repeats them, and the
+algebra is infinite-dimensional.  ``_quotient_step`` records that fixed
+point, or the degree where no class is left, on the ``_Rules`` it was
+given, keyed by the width cap of its chain; a call reads it under its own
+width cap and degree cap only, so every engine answer is a function of its
+arguments.  A repeating FULL quotient settles regularity: a degree with no
+singular words would make the algebra nilpotent of index at most one more
+than that degree, so an infinite algebra has singular words in every
+degree and ``regularity_degree`` need not walk them.
 
-Resource caps never silently change an answer.  A nonzero class larger than
-max_class_size, a walk that outgrows it, or a quotient degree with more
-than max_classes classes raises ResourceExhausted, and callers report that
+Resource caps never silently change an answer, and each bounds one
+structure.  max_class_size bounds the words one class walk visits
+(``coset_class``, ``iter_class``, ``classify``, the power-witness scan and
+the singular-set walks); max_classes bounds the classes of one degree of
+the class quotient, which walks no word and so reads no class-size cap.
+A walk that outgrows its cap, or a quotient degree with more than
+max_classes classes, raises ResourceExhausted, and callers report that
 outcome as inconclusive.  The quotient's memory grows with the class count
 of a degree times n + 1, the slots of the next step.  In the singular-set
 step max_class_size counts the words a walk visits one by one, not the
@@ -102,16 +105,16 @@ from .model import (
     monomial_str,
 )
 
-ENGINE_VERSION = "1.3.2"
+ENGINE_VERSION = "1.4.0"
 
 
 @dataclass(frozen=True)
 class EngineLimits:
     """Resource guards; generous defaults, overridable per call.
 
-    max_class_size bounds the words of one class, max_degree the degrees
-    searched, and max_classes the classes of one degree of the class
-    quotient.
+    max_class_size bounds the words one class walk visits, max_degree the
+    degrees searched, and max_classes the classes of one degree of the
+    class quotient, which max_class_size does not bound.
     """
 
     max_class_size: int = 5_000_000
@@ -127,7 +130,7 @@ DEFAULT_LIMITS = EngineLimits()
 
 
 class ResourceExhausted(RuntimeError):
-    """A class outgrew max_class_size, or a quotient degree max_classes.
+    """A class walk outgrew max_class_size, or a quotient degree max_classes.
 
     The question stays open.
     """
@@ -169,18 +172,17 @@ class MinimalBasis:
     minimals[c].  ``_blocks`` is a list indexed by slot d*(n+1) + a, for
     the block of words u + a with u in class d one degree down: it holds
     the id of the block's class, or -1 when the block is zero (so is slot
-    d*(n+1), which no letter fills).  ``_sizes[c]`` is the exact number
-    of words in class c; ``_rules`` and ``_caps`` hold the presentation,
-    mode and caps (None at degree 1) that they were built under.  Which
-    minimal words are singular is answered by ``iter_singular_sets``.
+    d*(n+1), which no letter fills).  ``_rules`` and ``_width`` hold the
+    presentation, mode and width cap (None at degree 1) that they were
+    built under.  Which minimal words are singular is answered by
+    ``iter_singular_sets``.
     """
 
     degree: int
     minimals: tuple
     _rules: _Rules | None = field(default=None, compare=False, repr=False)
     _blocks: list | None = field(default=None, compare=False, repr=False)
-    _sizes: tuple | None = field(default=None, compare=False, repr=False)
-    _caps: tuple | None = field(default=None, compare=False, repr=False)
+    _width: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -218,10 +220,10 @@ class _Rules:
     letters a with a b a zero monomial, for block walks.  The class
     quotient reads the same facts by first letter: joins[a] lists a triple
     (b, r0, r1) for each swap a b -> r0 r1, and zero_after[a] the letters
-    b with a b a zero monomial.  ``fates`` maps (max_class_size,
-    max_classes) to the first end met by a class quotient stepped from
-    degree 1 under those caps: ("dies", m) when degree m has no class, or
-    ("repeats", m) when degree m's blocks equal degree m-1's.
+    b with a b a zero monomial.  ``fates`` maps max_classes to the first
+    end met by a class quotient stepped from degree 1 under that width
+    cap: ("dies", m) when degree m has no class, or ("repeats", m) when
+    degree m's blocks equal degree m-1's.
     """
 
     __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
@@ -730,7 +732,7 @@ def initial_basis(p: Presentation, mode: IdealMode = IdealMode.FULL) -> MinimalB
     rules = _rules(p, mode)
     n = rules.n
     minimals = tuple((x,) for x in range(1, n + 1))
-    return MinimalBasis(1, minimals, rules, [-1, *range(n)], (1,) * n)
+    return MinimalBasis(1, minimals, rules, [-1, *range(n)])
 
 
 def _same_blocks(new: list, old: list) -> bool:
@@ -740,7 +742,7 @@ def _same_blocks(new: list, old: list) -> bool:
             and all(c < 0 for c in old[m:]))
 
 
-def _quotient_step(basis: MinimalBasis, rules: _Rules, limits: EngineLimits) -> MinimalBasis:
+def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBasis:
     """The basis one degree above ``basis``, from its class quotient alone.
 
     With w = n + 1, slot c*w + b stands for the block of words u + b with
@@ -751,10 +753,10 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, limits: EngineLimits) -> 
     over its component.  The union-find links the larger root under the
     smaller, so parent[x] <= x throughout and one ascending pass leaves
     every slot at its root.  ResourceExhausted when the new degree has
-    more than limits.max_classes classes, or a nonzero class more than
-    limits.max_class_size words.  A new degree with no class, or with the
-    same blocks as ``basis``, goes into ``rules.fates`` under the caps of
-    ``limits``, the caps of ``basis``'s chain, before they are checked.
+    more than ``width`` classes; the step walks no word, so no class-size
+    cap bounds it.  A new degree with no class, or with the same blocks as
+    ``basis``, goes into ``rules.fates`` under ``width``, the width cap of
+    ``basis``'s chain, before that cap is checked.
     """
     w = rules.n + 1
     joins = rules.joins
@@ -800,13 +802,10 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, limits: EngineLimits) -> 
     # scanning slots by last letter, then by class, meets each class first
     # at its minimum and the classes in rtl order of their minima; a
     # degree with more classes than the one below neither dies nor repeats
-    cap, width = caps = (limits.max_class_size, limits.max_classes)
     limit = max(width, count)
     ids = [-1] * (count * w)
     new_min = []
-    new_size = []
     new_blocks = [-1] * (count * w)
-    sizes = basis._sizes
     degree = basis.degree + 1
     for b in range(1, w):
         letter = (b,)
@@ -822,21 +821,15 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, limits: EngineLimits) -> 
                 if k == limit:
                     raise _too_wide(degree, width)
                 new_min.append(minimals[c] + letter)
-                new_size.append(sizes[c])
-            else:
-                new_size[k] += sizes[c]
             new_blocks[u] = k
-    if caps not in rules.fates:
+    if width not in rules.fates:
         if not new_min:
-            rules.fates[caps] = ("dies", degree)
+            rules.fates[width] = ("dies", degree)
         elif len(new_min) == count and _same_blocks(new_blocks, blocks):
-            rules.fates[caps] = ("repeats", degree)
+            rules.fates[width] = ("repeats", degree)
     if len(new_min) > width:
         raise _too_wide(degree, width)
-    for k, size in enumerate(new_size):
-        if size > cap:
-            raise _exhausted(new_min[k], cap)
-    return MinimalBasis(degree, tuple(new_min), rules, new_blocks, tuple(new_size), caps)
+    return MinimalBasis(degree, tuple(new_min), rules, new_blocks, width)
 
 
 def next_minimal_basis(basis: MinimalBasis, p: Presentation,
@@ -846,19 +839,19 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
 
     The class quotient carried by ``basis`` gives the next degree's
     classes without walking them; a basis that carries none, or one built
-    for another presentation or mode or under other caps, has its quotient
-    rebuilt from degree 1 under these caps.  ResourceExhausted when the
-    new degree has more than limits.max_classes classes, or a nonzero
-    class more than limits.max_class_size words.
+    for another presentation or mode or under another width cap, has its
+    quotient rebuilt from degree 1 under this one.  ResourceExhausted when
+    the new degree has more than limits.max_classes classes; no class-size
+    cap bounds a step of the quotient.
     """
     rules = _rules(p, mode)
-    caps = (limits.max_class_size, limits.max_classes)
-    if basis._rules is not rules or basis._caps not in (None, caps):
+    width = limits.max_classes
+    if basis._rules is not rules or basis._width not in (None, width):
         start = initial_basis(p, mode)
         while start.degree < basis.degree:
-            start = _quotient_step(start, rules, limits)
+            start = _quotient_step(start, rules, width)
         basis = start
-    return _quotient_step(basis, rules, limits)
+    return _quotient_step(basis, rules, width)
 
 
 def _require_qhs(p: Presentation) -> None:
@@ -927,23 +920,24 @@ def singular_monomials(p: Presentation, m: int,
 
 
 def _full_fate(p: Presentation, limits: EngineLimits):
-    """The FULL quotient's fate under the caps of ``limits``, stepping it if unknown.
+    """The FULL quotient's fate under the width cap of ``limits``, stepping it if unknown.
 
     Steps up to degree limits.max_degree + 1, stopping when the quotient
-    dies, repeats or outgrows a limit; None when it was not seen to die or
-    repeat by then.  Only chains stepped from degree 1 under one set of caps
-    fill the record: ``next_minimal_basis`` rebuilds a basis of other caps.
+    dies, repeats or outgrows the width cap; None when it was not seen to
+    die or repeat by then.  Only chains stepped from degree 1 under one
+    width cap fill the record: ``next_minimal_basis`` rebuilds a basis of
+    another one.
     """
     rules = _rules(p, IdealMode.FULL)
-    caps = (limits.max_class_size, limits.max_classes)
-    if caps not in rules.fates:
+    width = limits.max_classes
+    if width not in rules.fates:
         basis = initial_basis(p)
         try:
-            while caps not in rules.fates and basis.degree <= limits.max_degree:
-                basis = _quotient_step(basis, rules, limits)
+            while width not in rules.fates and basis.degree <= limits.max_degree:
+                basis = _quotient_step(basis, rules, width)
         except ResourceExhausted:
             pass
-    fate = rules.fates.get(caps)
+    fate = rules.fates.get(width)
     return fate if fate is not None and fate[1] <= limits.max_degree + 1 else None
 
 

@@ -53,20 +53,28 @@ class TestProfiles:
         assert profile.nilpotency_index is None
 
     def test_exhaustion_is_reported_not_raised(self):
+        # commuting letters: degree m has m + 1 classes
         profile = hilbert_profile(COMMUTE2, max_degree=12,
-                                  limits=EngineLimits(max_class_size=30))
-        assert profile.exhausted is not None
-        assert profile.verdict == f"inconclusive:{profile.exhausted}"
+                                  limits=EngineLimits(max_classes=6))
+        assert profile.exhausted == 6
+        assert profile.verdict == "inconclusive:6"
         assert total_dimension(profile) is None
 
     def test_exhaustion_at_the_first_class_past_the_cap(self):
         # commuting letters: a degree-m class holds the C(m, k) arrangements
         # of k ones, so the largest classes are C(6, 3) = 20, C(7, 3) = 35
-        # and C(8, 4) = 70 at degrees 6, 7 and 8
-        profile = hilbert_profile(COMMUTE2, 12, limits=EngineLimits(max_class_size=30))
+        # and C(8, 4) = 70 at degrees 6, 7 and 8.  The quotient walks none
+        # of them, so the class-size cap leaves the profile exact; only the
+        # class that takes a degree past the width cap stops it
+        for cap in (30, 35):
+            profile = hilbert_profile(COMMUTE2, 12, limits=EngineLimits(max_class_size=cap))
+            assert profile.verdict == "open:12"
+            assert profile.dims == tuple(range(1, 14))
+        profile = hilbert_profile(COMMUTE2, 12, limits=EngineLimits(max_classes=7))
         assert profile.exhausted == 7
         assert profile.dims == (1, 2, 3, 4, 5, 6, 7)
-        profile = hilbert_profile(COMMUTE2, 12, limits=EngineLimits(max_class_size=35))
+        assert profile.detail == "degree 7 has more than 7 classes"
+        profile = hilbert_profile(COMMUTE2, 12, limits=EngineLimits(max_classes=8))
         assert profile.exhausted == 8
         assert profile.dims == (1, 2, 3, 4, 5, 6, 7, 8)
 
@@ -118,8 +126,11 @@ class TestDim3:
         assert not report.below_bound
 
     def test_cap_propagates(self):
+        # degree 2 of commuting letters has 3 classes; its class x1x2 = x2x1
+        # has 2 words, which no class-size cap reads
         with pytest.raises(ResourceExhausted):
-            dim3_report(COMMUTE2, EngineLimits(max_class_size=2))
+            dim3_report(COMMUTE2, EngineLimits(max_classes=2))
+        assert dim3_report(COMMUTE2, EngineLimits(max_class_size=1)).dim3 == 4
 
 
 class TestExports:

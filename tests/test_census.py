@@ -239,13 +239,18 @@ class TestCensus:
             )
 
     def test_tight_caps_go_inconclusive_not_wrong(self):
+        # the class-size cap bounds the regularity walks (the first half of
+        # a verdict), the width cap the class quotient of the profile
         from quadsemi.engine import EngineLimits
 
-        default = {r.uid: r.verdict for r in census_records(2)}
-        tight = census_records(2, EngineLimits(max_class_size=1, max_degree=12))
-        for r in tight:
-            assert r.verdict == default[r.uid] or "inconclusive" in r.verdict
-        assert any("inconclusive" in r.verdict for r in tight)
+        default = {r.uid: r.verdict.split("/") for r in census_records(3)}
+        for capped, limits in enumerate((EngineLimits(max_class_size=1, max_degree=12),
+                                         EngineLimits(max_classes=2, max_degree=12))):
+            tight = [(default[r.uid], r.verdict.split("/")) for r in census_records(3, limits)]
+            for want, got in tight:
+                assert got[1 - capped] == want[1 - capped]
+                assert got[capped] == want[capped] or "inconclusive" in got[capped]
+            assert any("inconclusive" in got[capped] for _want, got in tight)
 
 
 class TestQhsNeverCertified:

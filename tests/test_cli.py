@@ -205,6 +205,19 @@ class TestHilbert:
         assert [json.loads(line)["parameters"]["max_classes"] for line in records] == [
             1, 1_000_000, 1, 1_000_000]
 
+    def test_class_size_cap_is_not_part_of_the_cache_key(self, m2_file, tmp_path, capsys):
+        # the class quotient walks no class, so the profile at one class-size
+        # cap is the profile at every other
+        cache = str(tmp_path / "cache")
+        assert main(["--cache", cache, "--max-class-size", "3", "hilbert", m2_file]) == 0
+        first = capsys.readouterr().out
+        stored = (tmp_path / "cache" / "runs.jsonl").read_text()
+        assert len(stored.splitlines()) == 1
+        assert "max_class_size" not in json.loads(stored)["parameters"]
+        assert main(["--cache", cache, "hilbert", m2_file]) == 0
+        assert capsys.readouterr().out == first
+        assert (tmp_path / "cache" / "runs.jsonl").read_text() == stored
+
 
 class TestNilpotency:
     def test_finite(self, m2_file, capsys):
@@ -214,6 +227,11 @@ class TestNilpotency:
     def test_open(self, free2_file, capsys):
         assert main(["nilpotency", free2_file, "--cap", "3"]) == 2
         assert "inconclusive" in capsys.readouterr().out
+
+    def test_width_cap_names_the_degree(self, wide_file, capsys):
+        assert main(["--max-classes", "1000", "nilpotency", wide_file]) == 2
+        assert capsys.readouterr().out == (
+            "inconclusive at degree 7: degree 7 has more than 1000 classes\n")
 
 
 class TestSingularRegularity:
@@ -297,6 +315,14 @@ class TestCertify:
     def test_verified_witness(self, free2_file, capsys):
         assert main(["certify", free2_file, "--verify-k", "3"]) == 0
         assert "witness power 3: nonzero" in capsys.readouterr().out
+
+    def test_zero_sum(self, tmp_path, capsys):
+        # every pair of letters meets a relation, and both relations are
+        # binomials
+        path = tmp_path / "binomial.txt"
+        path.write_text("generators 2\nx1*x1 = x2*x2\nx1*x2 = x2*x1\n")
+        assert main(["certify", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "certificate: zero_sum"
 
     def test_none_exits_two(self, tower5_file, capsys):
         assert main(["certify", tower5_file]) == 2
@@ -410,7 +436,9 @@ class TestTables:
         limits = replace(CENSUS_LIMITS, max_class_size=1)
         assert out == census_csv(census_records(3, limits))
         verdicts = [line.split(",")[4] for line in out.splitlines()[1:]]
-        assert sum("inconclusive" in v for v in verdicts) == 12
+        # the cap bounds the regularity walks; the profiles walk no class
+        assert sum("inconclusive" in v for v in verdicts) == 9
+        assert not any("inconclusive" in v.split("/")[1] for v in verdicts)
 
 
 class TestCacheFlow:

@@ -315,16 +315,24 @@ class TestBases:
             assert minimal_monomial(w, tower5, REDUCED) == w
 
     def test_class_sizes_match_walks(self):
+        # the quotient keeps no sizes: a class's size is summed here from
+        # its blocks, slot d*(n+1) + a holding |class d one degree down| words
         for n in (1, 2, 3):
             for p in qhs_census(n):
                 for mode in (FULL, REDUCED):
                     basis = initial_basis(p, mode)
+                    sizes = [1] * n
                     for _ in range(5):
                         basis = next_minimal_basis(basis, p, mode)
-                        sizes = basis._sizes
-                        assert len(sizes) == len(basis.minimals)
+                        new = [0] * len(basis.minimals)
+                        for slot, c in enumerate(basis._blocks):
+                            if c >= 0:
+                                new[c] += sizes[slot // (n + 1)]
+                        sizes = new
                         for w, size in zip(basis.minimals, sizes):
-                            assert size == len(coset_class(w, p, mode).members), (p, mode, w)
+                            cls = coset_class(w, p, mode)
+                            assert cls.minimal == w, (p, mode, w)
+                            assert size == len(cls.members), (p, mode, w)
 
     def test_basis_without_classes_is_rebuilt(self, tower5):
         basis = initial_basis(tower5, REDUCED)
@@ -545,9 +553,9 @@ def _no_walk(*_args, **_kwargs):
     raise AssertionError("the singular sets were walked")
 
 
-def _caps(limits):
-    """The key of a fate record: the caps that bound a quotient chain."""
-    return limits.max_class_size, limits.max_classes
+def _fate_key(limits):
+    """The key of a fate record: the width cap that bounds a quotient chain."""
+    return limits.max_classes
 
 
 def _census_open_steps(monkeypatch):
@@ -581,38 +589,53 @@ class TestRepeatingQuotient:
         p = parse_presentation(CENSUS_OPEN)
         engine._rules.cache_clear()
         hilbert_profile(p, 12)
-        assert engine._rules(p, FULL).fates == {_caps(DEFAULT_LIMITS): ("repeats", 8)}
+        assert engine._rules(p, FULL).fates == {_fate_key(DEFAULT_LIMITS): ("repeats", 8)}
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
         monkeypatch.setattr(engine, "_quotient_step", _no_walk)
         assert regularity_degree(p, EngineLimits(max_degree=12)).status == "irregular_up_to"
 
     def test_capped_answers_do_not_depend_on_an_earlier_profile(self):
-        # a fresh chain at these caps outgrows the cap before the repeat at
-        # degree 8, so the walk decides; a default-cap profile's repeat
-        # must not settle them
+        # the class-size caps bound the walks, not the quotient, so at each
+        # of them the repeat at degree 8 settles the answer.  A width cap of
+        # 30 stops a fresh chain at degree 4 (widths 5, 15, 29, 32), before
+        # the repeat, so the walk decides; a default-cap profile's repeat
+        # must not settle those
         p = parse_presentation(CENSUS_OPEN)
-        caps = [EngineLimits(max_class_size=c, max_degree=12) for c in (3, 10, 30, 100)]
-        fresh = []
-        for limits in caps:
+        sizes = (3, 10, 30, 100)
+        want = {
+            DEFAULT_LIMITS.max_classes: [("irregular_up_to", 12)] * 4,
+            30: [("inconclusive", 2), ("inconclusive", 3), ("inconclusive", 5),
+                 ("inconclusive", 6)],
+        }
+        for width, answers in want.items():
+            caps = [EngineLimits(max_class_size=c, max_classes=width, max_degree=12)
+                    for c in sizes]
+            fresh = []
+            for limits in caps:
+                engine._rules.cache_clear()
+                fresh.append(regularity_degree(p, limits))
+            assert [(r.status, r.degree) for r in fresh] == answers
+            settled = width == DEFAULT_LIMITS.max_classes
+            assert all(("repeats at degree 8" in r.detail) == settled for r in fresh)
             engine._rules.cache_clear()
-            fresh.append(regularity_degree(p, limits))
-        assert [(r.status, r.degree) for r in fresh] == [
-            ("inconclusive", 2), ("inconclusive", 3), ("inconclusive", 5),
-            ("inconclusive", 6)]
-        engine._rules.cache_clear()
-        hilbert_profile(p, 12)
-        assert [regularity_degree(p, limits) for limits in caps] == fresh
+            hilbert_profile(p, 12)
+            assert [regularity_degree(p, limits) for limits in caps] == fresh
 
     def test_a_profile_under_other_caps_is_not_shared(self, monkeypatch):
+        # a profile's fate serves every class-size cap at its width cap,
+        # and no other width cap
         engine._rules.cache_clear()
         p, steps = _census_open_steps(monkeypatch)
         hilbert_profile(p, 12)
-        limits = EngineLimits(max_class_size=1000, max_degree=12)
         del steps[:]
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
+        limits = EngineLimits(max_class_size=1000, max_degree=12)
+        assert regularity_degree(p, limits).status == "irregular_up_to"
+        assert steps == []
+        limits = EngineLimits(max_classes=32, max_degree=12)
         assert regularity_degree(p, limits).status == "irregular_up_to"
         assert steps == list(range(2, 9))
-        assert engine._rules(p, FULL).fates[_caps(limits)] == ("repeats", 8)
+        assert engine._rules(p, FULL).fates[_fate_key(limits)] == ("repeats", 8)
         del steps[:]
         assert regularity_degree(p, limits).status == "irregular_up_to"
         assert steps == []
@@ -628,22 +651,26 @@ class TestRepeatingQuotient:
         assert steps == []
 
     def test_a_chain_whose_caps_change_is_rebuilt(self, monkeypatch):
-        # stepped at the default caps to degree 7, the next step at cap 100
-        # would meet the repeat at degree 8; a fresh chain at cap 100
-        # outgrows it at degree 7 (169 words) and never sees the repeat
+        # stepped at the default caps to degree 7, the next step at width
+        # cap 30 would meet the repeat at degree 8; a fresh chain at width
+        # cap 30 outgrows it at degree 4 (32 classes) and never sees the
+        # repeat.  A class-size cap reads no step, so under one it steps on
         engine._rules.cache_clear()
         p, steps = _census_open_steps(monkeypatch)
         basis = initial_basis(p, FULL)
         while basis.degree < 7:
             basis = next_minimal_basis(basis, p, FULL)
-        small = EngineLimits(max_class_size=100, max_degree=12)
+        small = EngineLimits(max_classes=30, max_degree=12)
         del steps[:]
         with pytest.raises(ResourceExhausted) as err:
             next_minimal_basis(basis, p, FULL, small)
-        assert err.value.degree == 7
-        assert steps == list(range(2, 8))
-        assert _caps(small) not in engine._rules(p, FULL).fates
+        assert err.value.degree == 4
+        assert steps == [2, 3, 4]
+        assert _fate_key(small) not in engine._rules(p, FULL).fates
         assert engine._full_fate(p, small) is None
+        del steps[:]
+        next_minimal_basis(basis, p, FULL, EngineLimits(max_class_size=1))
+        assert steps == [8]
 
     def test_answers_equal_the_walk(self, tower5):
         limits = EngineLimits(max_degree=12)

@@ -93,6 +93,20 @@ def test_json_semantic_error_wrapped():
         parse_presentation('{"relations": []}')
 
 
+def test_json_relations_must_be_a_list():
+    with pytest.raises(PresentationSyntaxError, match="'relations' must be a list"):
+        parse_presentation('{"n": 2, "relations": {"zero": [2, 1]}}')
+
+
+@pytest.mark.parametrize("entry", [
+    '[2, 1]', '{}', '{"zero": [2, 1], "equal": [[2, 2], [1, 1]]}'])
+def test_json_relation_needs_one_kind_key(entry):
+    text = f'{{"n": 2, "relations": [{{"zero": [2, 2]}}, {entry}]}}'
+    with pytest.raises(PresentationSyntaxError,
+                       match="relations entry 1: expected one 'zero' or 'equal' key"):
+        parse_presentation(text)
+
+
 @pytest.mark.parametrize("side", ["5", "[5]", '"ab"'])
 def test_json_equal_side_must_be_a_pair(side):
     text = f'{{"n": 2, "relations": [{{"equal": [{side}, [2, 1]]}}]}}'
