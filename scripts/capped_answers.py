@@ -3,8 +3,12 @@
 ``write OUT`` runs ``regularity_degree`` with max_degree 12, and
 ``hilbert_profile`` to degree 12, at max_class_size 3, 10, 30, 100 and
 1000 on every QHS with n <= 4, the tower presentations n = 5 and 6 and
-every 97th n = 5 QHS, and ``power_witness`` on each tower at the same caps
-and at the default cap.  It writes the answers as JSON, each with its
+every 97th n = 5 QHS, then both again on each at max_classes 2, 5 and 30
+(max_class_size 1000), and ``power_witness`` on each tower at the same
+class-size caps and at the default cap.  The width-cap runs of a
+presentation follow its class-size-cap runs in the same process, so they
+read the quotient's end that those runs recorded; a width-cap answer is
+keyed ``@wN``.  It writes the answers as JSON, each with its
 ``detail`` (for a capped run, the word or degree where it stopped).  A
 profile answer is its verdict: ``finite:N``, ``open:12`` or
 ``inconclusive:D``.  A witness answer is ``found:`` with the witness, or
@@ -18,8 +22,8 @@ included, more so); a moved detail alone is listed but does not fail.  To
 check an engine change, run this one script's ``write`` twice, once with
 each checkout's ``src`` on PYTHONPATH, then ``compare`` the two files.
 Both files must be written by the same script: an answer that only one of
-them holds fails the comparison.  The full set gives 7382 answers (3685
-regularity, 3685 Hilbert, 12 witness) in about 4 s on a 2-vCPU host.
+them holds fails the comparison.  The full set gives 11804 answers (5896
+regularity, 5896 Hilbert, 12 witness) in about 8 s on a 2-vCPU host.
 """
 
 import argparse
@@ -39,6 +43,7 @@ from quadsemi.engine import (
 from quadsemi.model import monomial_str, presentation_hash
 
 CAPS = (3, 10, 30, 100, 1000)
+WIDTHS = (2, 5, 30)
 MAX_DEGREE = 12
 
 
@@ -72,12 +77,15 @@ def write(args) -> int:
     answers = {}
     for label, p in cases(args.max_n, args.towers, args.n5_every):
         key = presentation_hash(p)
-        for cap in CAPS:
-            limits = EngineLimits(max_class_size=cap, max_degree=MAX_DEGREE)
+        runs = [(str(cap), EngineLimits(max_class_size=cap, max_degree=MAX_DEGREE))
+                for cap in CAPS]
+        runs += [(f"w{width}", EngineLimits(max_class_size=CAPS[-1], max_degree=MAX_DEGREE,
+                                            max_classes=width)) for width in WIDTHS]
+        for tag, limits in runs:
             result = regularity_degree(p, limits)
-            answers[f"{key}@{cap}"] = [label, answer(result), result.detail]
+            answers[f"{key}@{tag}"] = [label, answer(result), result.detail]
             profile = hilbert_profile(p, MAX_DEGREE, limits=limits)
-            answers[f"{key}@{cap}:hilbert"] = [label, profile.verdict, profile.detail]
+            answers[f"{key}@{tag}:hilbert"] = [label, profile.verdict, profile.detail]
     for n in args.towers:
         p = build_regular_qhs(n)
         key = presentation_hash(p)

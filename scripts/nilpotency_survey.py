@@ -24,7 +24,7 @@ def survey_row(n: int, limits: EngineLimits) -> str:
     p = build_regular_qhs(n)
     t0 = time.perf_counter()
     # the profile goes first: regularity reads the quotient's end that it
-    # records under the same caps, instead of stepping the quotient again
+    # records, instead of stepping the quotient again
     profile = hilbert_profile(p, max_degree=limits.max_degree, limits=limits)
     reg = regularity_degree(p, limits)
     if reg.status == "regular":

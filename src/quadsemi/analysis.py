@@ -113,7 +113,7 @@ def dim3_report(p: Presentation,
     profile = hilbert_profile(p, max_degree=3, mode=IdealMode.FULL, limits=limits)
     if len(profile.dims) < 4:
         if profile.nilpotency_index is None:
-            raise ResourceExhausted("degree-3 dimension did not complete")
+            raise ResourceExhausted(profile.detail, degree=profile.exhausted)
         dim3 = 0  # dimension vanished before degree 3 and stays zero
     else:
         dim3 = profile.dims[3]

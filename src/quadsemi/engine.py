@@ -67,14 +67,14 @@ degree's blocks come from the current ones and the rules alone: the minimum
 words ride along but feed nothing back.  So when a degree's blocks equal
 the ones they were built from (zero slots past the last nonzero one aside)
 and the degree still has classes, every later degree repeats them, and the
-algebra is infinite-dimensional.  ``_quotient_step`` records that fixed
-point, or the degree where no class is left, on the ``_Rules`` it was
-given, keyed by the width cap of its chain; a call reads it under its own
-width cap and degree cap only, so every engine answer is a function of its
-arguments.  A repeating FULL quotient settles regularity: a degree with no
-singular words would make the algebra nilpotent of index at most one more
-than that degree, so an infinite algebra has singular words in every
-degree and ``regularity_degree`` need not walk them.
+algebra is infinite-dimensional.  That repeat, or the degree where no class
+is left, is a fact about the presentation; ``_quotient_step`` records it
+once on the ``_Rules`` it was given, and a call reads it only where a fresh
+chain under its own caps would reach it, so every engine answer is a
+function of its arguments.  A repeating FULL quotient settles regularity:
+a degree with no singular words would make the algebra nilpotent of index
+at most one more than that degree, so an infinite algebra has singular
+words in every degree and ``regularity_degree`` need not walk them.
 
 Resource caps never silently change an answer, and each bounds one
 structure.  max_class_size bounds the words one class walk visits
@@ -172,17 +172,17 @@ class MinimalBasis:
     minimals[c].  ``_blocks`` is a list indexed by slot d*(n+1) + a, for
     the block of words u + a with u in class d one degree down: it holds
     the id of the block's class, or -1 when the block is zero (so is slot
-    d*(n+1), which no letter fills).  ``_rules`` and ``_width`` hold the
-    presentation, mode and width cap (None at degree 1) that they were
-    built under.  Which minimal words are singular is answered by
-    ``iter_singular_sets``.
+    d*(n+1), which no letter fills).  ``_rules`` holds the presentation
+    and mode they were built under, and ``_widest`` the most classes of
+    any degree from 2 up to this one.  Which minimal words are singular is
+    answered by ``iter_singular_sets``.
     """
 
     degree: int
     minimals: tuple
     _rules: _Rules | None = field(default=None, compare=False, repr=False)
     _blocks: list | None = field(default=None, compare=False, repr=False)
-    _width: int | None = field(default=None, compare=False, repr=False)
+    _widest: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -220,19 +220,19 @@ class _Rules:
     letters a with a b a zero monomial, for block walks.  The class
     quotient reads the same facts by first letter: joins[a] lists a triple
     (b, r0, r1) for each swap a b -> r0 r1, and zero_after[a] the letters
-    b with a b a zero monomial.  ``fates`` maps max_classes to the first
-    end met by a class quotient stepped from degree 1 under that width
-    cap: ("dies", m) when degree m has no class, or ("repeats", m) when
-    degree m's blocks equal degree m-1's.
+    b with a b a zero monomial.  ``fate`` is None until a chain stepped
+    from degree 1 meets the quotient's end: ("dies", m, widest) when degree
+    m has no class, or ("repeats", m, widest) when degree m's blocks equal
+    degree m-1's, with widest the most classes of any degree 2..m-1.
     """
 
     __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
-                 "zero_after", "fates")
+                 "zero_after", "fate")
 
     def __init__(self, n, swap, zeros):
         self.n = n
         self.k = k = n.bit_length()
-        self.fates = {}
+        self.fate = None
         swaps = [None] * (1 << 2 * k)
         for (a, b), reps in swap.items():
             swaps[a | b << k] = tuple(r0 - a + (r1 - b << k) for r0, r1 in reps)
@@ -754,9 +754,9 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
     smaller, so parent[x] <= x throughout and one ascending pass leaves
     every slot at its root.  ResourceExhausted when the new degree has
     more than ``width`` classes; the step walks no word, so no class-size
-    cap bounds it.  A new degree with no class, or with the same blocks as
-    ``basis``, goes into ``rules.fates`` under ``width``, the width cap of
-    ``basis``'s chain, before that cap is checked.
+    cap bounds it.  The first new degree with no class, or with the same
+    blocks as ``basis``, goes into ``rules.fate`` with ``basis._widest``
+    before the width cap is checked.
     """
     w = rules.n + 1
     joins = rules.joins
@@ -822,14 +822,15 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
                     raise _too_wide(degree, width)
                 new_min.append(minimals[c] + letter)
             new_blocks[u] = k
-    if width not in rules.fates:
+    widest = basis._widest
+    if rules.fate is None:
         if not new_min:
-            rules.fates[width] = ("dies", degree)
+            rules.fate = ("dies", degree, widest)
         elif len(new_min) == count and _same_blocks(new_blocks, blocks):
-            rules.fates[width] = ("repeats", degree)
+            rules.fate = ("repeats", degree, widest)
     if len(new_min) > width:
         raise _too_wide(degree, width)
-    return MinimalBasis(degree, tuple(new_min), rules, new_blocks, width)
+    return MinimalBasis(degree, tuple(new_min), rules, new_blocks, max(widest, len(new_min)))
 
 
 def next_minimal_basis(basis: MinimalBasis, p: Presentation,
@@ -839,19 +840,18 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
 
     The class quotient carried by ``basis`` gives the next degree's
     classes without walking them; a basis that carries none, or one built
-    for another presentation or mode or under another width cap, has its
-    quotient rebuilt from degree 1 under this one.  ResourceExhausted when
-    the new degree has more than limits.max_classes classes; no class-size
-    cap bounds a step of the quotient.
+    for another presentation or mode, has its quotient rebuilt from degree
+    1.  ResourceExhausted when a degree built here has more than
+    limits.max_classes classes, whatever cap the degrees below were built
+    under; no class-size cap bounds a step of the quotient.
     """
     rules = _rules(p, mode)
-    width = limits.max_classes
-    if basis._rules is not rules or basis._width not in (None, width):
+    if basis._rules is not rules:
         start = initial_basis(p, mode)
         while start.degree < basis.degree:
-            start = _quotient_step(start, rules, width)
+            start = _quotient_step(start, rules, limits.max_classes)
         basis = start
-    return _quotient_step(basis, rules, width)
+    return _quotient_step(basis, rules, limits.max_classes)
 
 
 def _require_qhs(p: Presentation) -> None:
@@ -920,25 +920,25 @@ def singular_monomials(p: Presentation, m: int,
 
 
 def _full_fate(p: Presentation, limits: EngineLimits):
-    """The FULL quotient's fate under the width cap of ``limits``, stepping it if unknown.
+    """The FULL quotient's fate (kind, m) if a fresh chain under ``limits`` meets it, else None.
 
-    Steps up to degree limits.max_degree + 1, stopping when the quotient
-    dies, repeats or outgrows the width cap; None when it was not seen to
-    die or repeat by then.  Only chains stepped from degree 1 under one
-    width cap fill the record: ``next_minimal_basis`` rebuilds a basis of
-    another one.
+    Steps a chain from degree 1 while no fate is recorded, up to degree
+    limits.max_degree + 1.  A fresh chain meets the fate exactly when m is
+    at most limits.max_degree + 1 and no degree 2..m-1 has more than
+    limits.max_classes classes: degree 1 is never checked, and degree m is
+    empty or as wide as degree m-1.
     """
     rules = _rules(p, IdealMode.FULL)
-    width = limits.max_classes
-    if width not in rules.fates:
+    if rules.fate is None:
         basis = initial_basis(p)
         try:
-            while width not in rules.fates and basis.degree <= limits.max_degree:
-                basis = _quotient_step(basis, rules, width)
+            while rules.fate is None and basis.degree <= limits.max_degree:
+                basis = _quotient_step(basis, rules, limits.max_classes)
         except ResourceExhausted:
             pass
-    fate = rules.fates.get(width)
-    return fate if fate is not None and fate[1] <= limits.max_degree + 1 else None
+    fate = rules.fate
+    reached = fate and fate[1] <= limits.max_degree + 1 and fate[2] <= limits.max_classes
+    return fate[:2] if reached else None
 
 
 def regularity_degree(p: Presentation,

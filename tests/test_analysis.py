@@ -128,8 +128,10 @@ class TestDim3:
     def test_cap_propagates(self):
         # degree 2 of commuting letters has 3 classes; its class x1x2 = x2x1
         # has 2 words, which no class-size cap reads
-        with pytest.raises(ResourceExhausted):
+        with pytest.raises(ResourceExhausted) as err:
             dim3_report(COMMUTE2, EngineLimits(max_classes=2))
+        assert str(err.value) == "degree 2 has more than 2 classes"
+        assert err.value.degree == 2
         assert dim3_report(COMMUTE2, EngineLimits(max_class_size=1)).dim3 == 4
 
 

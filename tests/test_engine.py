@@ -553,11 +553,6 @@ def _no_walk(*_args, **_kwargs):
     raise AssertionError("the singular sets were walked")
 
 
-def _fate_key(limits):
-    """The key of a fate record: the width cap that bounds a quotient chain."""
-    return limits.max_classes
-
-
 def _census_open_steps(monkeypatch):
     """CENSUS_OPEN and a list that gains one entry per class quotient step."""
     steps = []
@@ -589,7 +584,9 @@ class TestRepeatingQuotient:
         p = parse_presentation(CENSUS_OPEN)
         engine._rules.cache_clear()
         hilbert_profile(p, 12)
-        assert engine._rules(p, FULL).fates == {_fate_key(DEFAULT_LIMITS): ("repeats", 8)}
+        # dims 1, 5, 15, 29, 32, 27, 25, 25, ...: degree 4 is the widest
+        # before the repeat
+        assert engine._rules(p, FULL).fate == ("repeats", 8, 32)
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
         monkeypatch.setattr(engine, "_quotient_step", _no_walk)
         assert regularity_degree(p, EngineLimits(max_degree=12)).status == "irregular_up_to"
@@ -620,25 +617,42 @@ class TestRepeatingQuotient:
             engine._rules.cache_clear()
             hilbert_profile(p, 12)
             assert [regularity_degree(p, limits) for limits in caps] == fresh
+        # the fate is one fact per presentation, read under every width
+        # cap: after a default-width profile, each answer in either order
+        # of the caps equals the answer of a fresh chain
+        caps = [EngineLimits(max_class_size=1000, max_classes=width, max_degree=12)
+                for width in (1, 2, 5, 10, 30, 100, 10 ** 6)]
+        for q in [*(c for n in (1, 2, 3, 4) for c in qhs_census(n)), p]:
+            fresh = []
+            for limits in caps:
+                engine._rules.cache_clear()
+                fresh.append(regularity_degree(q, limits))
+            for order, want in ((caps, fresh), (caps[::-1], fresh[::-1])):
+                engine._rules.cache_clear()
+                hilbert_profile(q, 12)
+                assert [regularity_degree(q, limits) for limits in order] == want, q
 
     def test_a_profile_under_other_caps_is_not_shared(self, monkeypatch):
-        # a profile's fate serves every class-size cap at its width cap,
-        # and no other width cap
+        # a profile's fate serves every cap under which a fresh chain meets
+        # it: every class-size cap, and every width cap of at least 32, the
+        # widest degree before the repeat.  A fresh chain at width cap 31
+        # raises at degree 4, so there the fate is not read
         engine._rules.cache_clear()
         p, steps = _census_open_steps(monkeypatch)
         hilbert_profile(p, 12)
         del steps[:]
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
-        limits = EngineLimits(max_class_size=1000, max_degree=12)
-        assert regularity_degree(p, limits).status == "irregular_up_to"
+        for limits in (EngineLimits(max_class_size=1000, max_degree=12),
+                       EngineLimits(max_classes=32, max_degree=12)):
+            assert regularity_degree(p, limits).status == "irregular_up_to"
         assert steps == []
-        limits = EngineLimits(max_classes=32, max_degree=12)
-        assert regularity_degree(p, limits).status == "irregular_up_to"
-        assert steps == list(range(2, 9))
-        assert engine._rules(p, FULL).fates[_fate_key(limits)] == ("repeats", 8)
-        del steps[:]
-        assert regularity_degree(p, limits).status == "irregular_up_to"
+        narrow = EngineLimits(max_classes=31, max_degree=12)
+        assert engine._full_fate(p, narrow) is None
         assert steps == []
+        engine._rules.cache_clear()
+        assert engine._full_fate(p, narrow) is None
+        assert steps == [2, 3, 4]
+        assert engine._rules(p, FULL).fate is None
 
     def test_a_fate_past_the_degree_cap_is_not_read(self, monkeypatch):
         engine._rules.cache_clear()
@@ -651,26 +665,27 @@ class TestRepeatingQuotient:
         assert steps == []
 
     def test_a_chain_whose_caps_change_is_rebuilt(self, monkeypatch):
-        # stepped at the default caps to degree 7, the next step at width
-        # cap 30 would meet the repeat at degree 8; a fresh chain at width
-        # cap 30 outgrows it at degree 4 (32 classes) and never sees the
-        # repeat.  A class-size cap reads no step, so under one it steps on
+        # stepped at the default caps to degree 7, a chain steps on at width
+        # cap 30 with degree 8 alone, whose 25 classes fit, and records the
+        # repeat with the widest degree before it.  A fresh chain at width
+        # cap 30 outgrows degree 4 (32 classes) and never meets the repeat,
+        # so the fate is not read there.  Only the degree built is checked:
+        # at width cap 24 the step raises there
         engine._rules.cache_clear()
         p, steps = _census_open_steps(monkeypatch)
         basis = initial_basis(p, FULL)
         while basis.degree < 7:
             basis = next_minimal_basis(basis, p, FULL)
-        small = EngineLimits(max_classes=30, max_degree=12)
+        small = EngineLimits(max_class_size=1, max_classes=30, max_degree=12)
         del steps[:]
-        with pytest.raises(ResourceExhausted) as err:
-            next_minimal_basis(basis, p, FULL, small)
-        assert err.value.degree == 4
-        assert steps == [2, 3, 4]
-        assert _fate_key(small) not in engine._rules(p, FULL).fates
-        assert engine._full_fate(p, small) is None
-        del steps[:]
-        next_minimal_basis(basis, p, FULL, EngineLimits(max_class_size=1))
+        assert len(next_minimal_basis(basis, p, FULL, small).minimals) == 25
         assert steps == [8]
+        assert engine._rules(p, FULL).fate == ("repeats", 8, 32)
+        assert engine._full_fate(p, small) is None
+        assert steps == [8]
+        with pytest.raises(ResourceExhausted) as err:
+            next_minimal_basis(basis, p, FULL, EngineLimits(max_classes=24))
+        assert err.value.degree == 8
 
     def test_answers_equal_the_walk(self, tower5):
         limits = EngineLimits(max_degree=12)

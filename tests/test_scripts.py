@@ -40,9 +40,9 @@ def test_capped_answers_writes_and_compares(tmp_path):
     old = tmp_path / "old.json"
     out = _run_script("capped_answers.py", "write", str(old),
                       "--max-n", "2", "--towers", "5", "--n5-every", "0")
-    # 15 + 5 regularity answers, as many Hilbert answers, and 6 witness
-    # answers for the tower
-    assert out.startswith("46 answers written")
+    # 15 + 5 regularity answers at the class-size caps, 9 + 3 at the width
+    # caps, as many Hilbert answers, and 6 witness answers for the tower
+    assert out.startswith("70 answers written")
     data = json.loads(old.read_text())
     answers = data["answers"]
     assert {label for label, _answer, _detail in answers.values()} == {"n1", "n2", "tower5"}
@@ -51,12 +51,15 @@ def test_capped_answers_writes_and_compares(tmp_path):
                if key.endswith(":witness")}
     assert witness == {f"{cap}:witness": "inconclusive:0" for cap in (3, 10, 30, 100)} | {
         f"{cap}:witness": "found:x5*x1*x1*x3*x2*x5*x5*x5" for cap in (1000, 5000000)}
-    # the class quotient walks no class, so every cap gives the exact profile
-    hilbert = {key: answer for key, (label, answer, _detail) in answers.items()
+    # the class quotient walks no class, so every class-size cap gives the
+    # exact profile; the width caps cut it, at the degree that outgrows them
+    hilbert = {key.split("@")[1]: answer for key, (label, answer, _detail) in answers.items()
                if key.endswith(":hilbert") and label == "tower5"}
-    assert sorted(hilbert.values()) == ["finite:11"] * 5
+    assert hilbert == {f"{cap}:hilbert": "finite:11" for cap in (3, 10, 30, 100, 1000)} | {
+        "w2:hilbert": "inconclusive:2", "w5:hilbert": "inconclusive:2",
+        "w30:hilbert": "inconclusive:3"}
     assert _run_script("capped_answers.py", "compare", str(old), str(old)).endswith(
-        "46 answers, 0 moved, 0 bad\n")
+        "70 answers, 0 moved, 0 bad\n")
     new = tmp_path / "new.json"
 
     def compare_with(key, answer, returncode):
@@ -66,7 +69,7 @@ def test_capped_answers_writes_and_compares(tmp_path):
         answers[key][1] = saved
         out = _run_script("capped_answers.py", "compare", str(old), str(new),
                           returncode=returncode)
-        assert out.endswith("46 answers, 1 moved, %d bad\n" % returncode)
+        assert out.endswith("70 answers, 1 moved, %d bad\n" % returncode)
         return out
 
     # a detail that moves under an unchanged answer is listed, not failed
@@ -75,7 +78,7 @@ def test_capped_answers_writes_and_compares(tmp_path):
     new.write_text(json.dumps(data))
     out = _run_script("capped_answers.py", "compare", str(old), str(new))
     assert f"{key} (n" in out and "detail" in out
-    assert out.endswith("46 answers, 1 moved, 0 bad\n")
+    assert out.endswith("70 answers, 1 moved, 0 bad\n")
     answers[key][2] = json.loads(old.read_text())["answers"][key][2]
     # an answer that falls back to inconclusive must fail the comparison
     key = next(k for k, (_label, a, _detail) in answers.items() if a.startswith("regular:"))
@@ -91,7 +94,7 @@ def test_capped_answers_writes_and_compares(tmp_path):
     assert "more conclusive" in compare_with(capped, "found:x5*x1*x1*x3*x2*x5*x5*x5", 0)
     # a profile ranks like regularity: finite and open above inconclusive,
     # and a finite profile that turns open disagrees
-    profile = next(iter(hilbert))
+    profile = next(k for k in answers if k.endswith("@3:hilbert") and answers[k][0] == "tower5")
     assert "LESS CONCLUSIVE" in compare_with(profile, "inconclusive:7", 1)
     assert "DISAGREES" in compare_with(profile, "open:12", 1)
     answers[profile][1] = "inconclusive:7"
