@@ -239,6 +239,11 @@ class Presentation:
                 seen.add(q)
         return len(seen) == n * (n + 1) // 2 and Relation.zero(n, 1) in self.relations
 
+    @cached_property
+    def _content_id(self) -> str:
+        """``presentation_hash(self)``, computed once per object."""
+        return hashlib.sha256(canonical_json(self).encode("ascii")).hexdigest()[:16]
+
     def __str__(self) -> str:
         body = ", ".join(str(r) for r in self.relations) or "no relations"
         return f"<n={self.n} | {body}>"
@@ -438,5 +443,9 @@ def canonical_json(p: Presentation) -> str:
 
 
 def presentation_hash(p: Presentation) -> str:
-    """Stable 16-hex content id over the canonical serialisation."""
-    return hashlib.sha256(canonical_json(p).encode("ascii")).hexdigest()[:16]
+    """Stable 16-hex content id over the canonical serialisation.
+
+    The id is kept on the presentation, so a shared one (as
+    ``parse_presentation`` returns for a repeated text) is hashed once.
+    """
+    return p._content_id

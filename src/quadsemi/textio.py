@@ -13,12 +13,19 @@ with ``#`` comments and blank lines ignored, and a JSON object
 ``parse_presentation`` sniffs the format from the first non-blank character.
 Parsing canonicalises: ``x1*x1 = x2*x2`` and ``x2*x2 = x1*x1`` denote the
 same relation, and repeating one is a duplicate error.
+
+A process parses each distinct text once: results are memoized by the full
+text (the 256 most recent), and every parse of one text returns the same
+frozen ``Presentation``.  ``load_presentation`` reads its file on every
+call, so an edited file is parsed again.  Errors are raised afresh on every
+call, never memoized.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 from pathlib import Path
 
 from .model import Presentation, Relation, from_json_dict, presentation, to_json_dict
@@ -39,6 +46,11 @@ _RELATION_RE = re.compile(
 
 def parse_presentation(text: str) -> Presentation:
     """Parse either supported format, raising errors with line numbers."""
+    return _parse_once(text)
+
+
+@lru_cache(maxsize=256)
+def _parse_once(text: str) -> Presentation:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(text)

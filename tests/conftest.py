@@ -1,6 +1,13 @@
 import pytest
 
-from quadsemi import base_qhs, build_regular_qhs
+from quadsemi import base_qhs, build_regular_qhs, textio
+
+
+@pytest.fixture(autouse=True)
+def _fresh_parse_memo():
+    """Start every test with an empty parse memo, so that no test depends
+    on texts an earlier test parsed."""
+    textio._parse_once.cache_clear()
 
 
 @pytest.fixture(scope="session")

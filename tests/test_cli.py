@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import quadsemi
+from quadsemi.analysis import hilbert_profile, profile_to_json
 from quadsemi.census import CENSUS_LIMITS, census_csv, census_records
 from quadsemi.cli import main
 from quadsemi.textio import render_presentation
@@ -442,17 +443,40 @@ class TestTables:
 
 
 class TestCacheFlow:
-    def test_second_run_hits_cache(self, tmp_path, m2_file, capsys):
+    def test_second_run_hits_cache(self, tmp_path, m2_file, m4, capsys):
+        # the plain query, then the served workload's three cached operations
+        m4_file = tmp_path / "m4.txt"
+        m4_file.write_text(render_presentation(m4))
+        queries = [
+            ("hilbert", m2_file),
+            ("hilbert", str(m4_file), "--max-degree", "8"),
+            ("regularity", str(m4_file), "--cap", "8"),
+            ("singular", str(m4_file), "--degree", "3"),
+        ]
+        for i, query in enumerate(queries):
+            cache_dir = tmp_path / f"cache{i}"
+            argv = ["--cache", str(cache_dir), *query, "--json"]
+            assert main(argv) == 0, query
+            first = capsys.readouterr().out
+            stored = (cache_dir / "runs.jsonl").read_text()
+            assert len(stored.splitlines()) == 1, query
+            assert main(argv) == 0, query
+            assert capsys.readouterr().out == first, query
+            # a hit must not append another record
+            assert (cache_dir / "runs.jsonl").read_text() == stored, query
+
+    def test_a_rewritten_file_is_answered_afresh(self, tmp_path, m2, m3, capsys):
         cache_dir = tmp_path / "cache"
-        argv = ["--cache", str(cache_dir), "hilbert", m2_file, "--json"]
+        path = tmp_path / "p.txt"
+        path.write_text(render_presentation(m2))
+        argv = ["--cache", str(cache_dir), "hilbert", str(path), "--json"]
         assert main(argv) == 0
-        first = capsys.readouterr().out
-        stored = (cache_dir / "runs.jsonl").read_text()
-        assert len(stored.splitlines()) == 1
+        assert json.loads(capsys.readouterr().out)["n"] == 2
+        path.write_text(render_presentation(m3))
         assert main(argv) == 0
-        assert capsys.readouterr().out == first
-        # a hit must not append another record
-        assert (cache_dir / "runs.jsonl").read_text() == stored
+        second = json.loads(capsys.readouterr().out)
+        assert second == profile_to_json(hilbert_profile(m3))
+        assert len((cache_dir / "runs.jsonl").read_text().splitlines()) == 2
 
     def test_env_variable_is_honoured(self, tmp_path, m2_file, capsys, monkeypatch):
         cache_dir = tmp_path / "envcache"

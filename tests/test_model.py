@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadsemi.census import enumerate_presentations, relation_universe
+from quadsemi.constructions import build_regular_qhs
 from quadsemi.model import (
     Alphabet,
     IdealMode,
@@ -307,6 +309,23 @@ class TestSerialisation:
         again = presentation(2, [Relation.equal((1, 1), (2, 2)), Relation.zero(2, 1)])
         assert presentation_hash(m2) == presentation_hash(again)
         assert len(presentation_hash(m2)) == 16
+
+    def test_hash_is_kept_on_the_presentation(self):
+        ps = [p for n in range(1, 5) for p in qhs_census(n)]
+        ps += [build_regular_qhs(n) for n in range(5, 9)]
+        for p in ps:
+            # a fresh copy, so that no earlier test has hashed it
+            q = presentation(p.n, p.relations)
+            before = (repr(q), hash(q))
+            want = hashlib.sha256(canonical_json(q).encode("ascii")).hexdigest()[:16]
+            assert "_content_id" not in vars(q)
+            assert presentation_hash(q) == want
+            assert "_content_id" in vars(q)
+            assert presentation_hash(q) == want
+            # the kept id takes no part in ==, hash or repr
+            assert (repr(q), hash(q)) == before
+            assert q == presentation(p.n, p.relations)
+            assert want not in repr(q)
 
     def test_from_json_rejects_malformed(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import pytest
 
-from quadsemi.model import Relation, presentation
+from quadsemi.model import Relation, presentation, presentation_hash
 from quadsemi.textio import (
     PresentationSyntaxError,
+    _parse_once,
+    _parse_text,
     load_presentation,
     parse_presentation,
     render_json,
@@ -158,3 +160,30 @@ def test_save_and_load(tmp_path, m4):
     assert load_presentation(text_path) == m4
     assert load_presentation(json_path) == m4
     assert json_path.read_text().lstrip().startswith("{")
+
+
+class TestParseMemo:
+    def test_a_repeated_text_is_parsed_once(self):
+        first = parse_presentation(M2_TEXT)
+        assert parse_presentation(M2_TEXT) is first
+        info = _parse_once.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert first == _parse_text(M2_TEXT)
+
+    def test_a_malformed_text_raises_on_every_call(self):
+        text = "generators 2\nx2*x1 = 0\nx1 + x2\n"
+        for _ in range(3):
+            with pytest.raises(PresentationSyntaxError) as err:
+                parse_presentation(text)
+            assert err.value.line == 3
+        assert _parse_once.cache_info().currsize == 0
+
+    def test_spellings_of_one_presentation_agree(self, m2, tower5):
+        for p in (m2, tower5):
+            spellings = [render_presentation(p), render_json(p),
+                         "# reordered\n" + "\n".join(
+                             [f"generators {p.n}"] + [str(r) for r in reversed(p.relations)])]
+            parsed = [parse_presentation(text) for text in spellings]
+            assert all(q == p for q in parsed)
+            assert {presentation_hash(q) for q in parsed} == {presentation_hash(p)}
+        assert _parse_once.cache_info().misses == 6
