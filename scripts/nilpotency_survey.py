@@ -7,7 +7,7 @@ runs first so that regularity reads the quotient's end, takes about
 0.3 s.  The n = 8 regularity search does not finish at desk range, so an
 n = 8 row is not reached; the n = 8 Hilbert profile alone (``quadsemi
 hilbert``) ends at nilpotency index 23 with total dimension 615,845 in
-about 3 s of CPU and 128 MB of peak resident memory on the same host.
+about 3 s of CPU and 96 MB of peak resident memory on the same host.
 """
 
 import argparse
@@ -15,8 +15,9 @@ import sys
 import time
 
 from quadsemi.analysis import hilbert_profile, total_dimension
+from quadsemi.cli import _positive
 from quadsemi.constructions import build_regular_qhs
-from quadsemi.engine import EngineLimits, regularity_degree
+from quadsemi.engine import DEFAULT_LIMITS, EngineLimits, regularity_degree
 from quadsemi.model import delta
 
 
@@ -43,10 +44,11 @@ def survey_row(n: int, limits: EngineLimits) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-n", type=int, default=1)
+    parser.add_argument("--min-n", type=_positive, default=1)
     parser.add_argument("--max-n", type=int, default=6)
-    parser.add_argument("--cap", type=int, default=40, help="degree cap")
-    parser.add_argument("--max-class-size", type=int, default=5_000_000)
+    parser.add_argument("--cap", type=_positive, default=40, help="degree cap")
+    parser.add_argument("--max-class-size", type=_positive,
+                        default=DEFAULT_LIMITS.max_class_size)
     args = parser.parse_args(argv)
 
     limits = EngineLimits(max_class_size=args.max_class_size, max_degree=args.cap)

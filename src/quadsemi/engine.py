@@ -21,7 +21,9 @@ The quotient lives in flat lists indexed by slot d*(n+1) + a, for class d
 one degree down and last letter a in the letters 1..n that the class
 walks use: a ``MinimalBasis`` carries its degree's blocks list, holding
 each slot's class id or -1 for a zero block, and the step keeps its
-union-find parents and class ids in lists of the same slots.
+union-find parents in a list of the same slots.  No letter fills slot 0,
+so it is the union-find's zero sink: a zero monomial is one more join, to
+that slot, and a block is zero exactly when its component holds it.
 
 Tame and singular are properties of class members, so those questions
 still walk classes.  Internally a word is a packed int: with
@@ -59,8 +61,7 @@ follows from its letter and its class's minimum and last letters.  Only
 a block with the candidate's last letter, from a class other than the
 candidate prefix's, has its words checked one by one for a tame witness.
 Words whose prefix lies in no class handed on are walked one by one.
-Each candidate is settled by a walk of its own class; the step keeps no
-memo of the classes its earlier walks settled.
+Each candidate is settled by a walk of its own class.
 
 The class quotient also settles some infinite algebras outright.  The next
 degree's blocks come from the current ones and the rules alone: the minimum
@@ -84,12 +85,13 @@ the class quotient, which walks no word and so reads no class-size cap.
 A walk that outgrows its cap, or a quotient degree with more than
 max_classes classes, raises ResourceExhausted, and callers report that
 outcome as inconclusive.  The quotient's memory grows with the class count
-of a degree times n + 1, the slots of the next step.  In the singular-set
-step max_class_size counts the words a walk visits one by one, not the
-blocks it meets whole, and a class found singular still raises when it has
-more words than the cap.  A walk that meets the cap is repeated word by
-word before the cap is reported, because blocks change the order in which a
-class is met.
+of a degree times n + 1, the slots of the next step, which holds two lists
+of them (union-find parents and the new blocks) besides the blocks it was
+given.  In the singular-set step max_class_size counts the words a walk
+visits one by one, not the blocks it meets whole, and a class found
+singular still raises when it has more words than the cap.  A walk that
+meets the cap is repeated word by word before the cap is reported, because
+blocks change the order in which a class is met.
 """
 
 from __future__ import annotations
@@ -171,11 +173,12 @@ class MinimalBasis:
     right-to-left order of the class minima, so id c is the class of
     minimals[c].  ``_blocks`` is a list indexed by slot d*(n+1) + a, for
     the block of words u + a with u in class d one degree down: it holds
-    the id of the block's class, or -1 when the block is zero (so is slot
-    d*(n+1), which no letter fills).  ``_rules`` holds the presentation
-    and mode they were built under, and ``_widest`` the most classes of
-    any degree from 2 up to this one.  Which minimal words are singular is
-    answered by ``iter_singular_sets``.
+    the id of the block's class, or -1 when the block is zero.  Slot
+    d*(n+1), which no letter fills, always holds -1: the next step's zero
+    monomials read it to reach their zero sink.  ``_rules`` holds the
+    presentation and mode they were built under, and ``_widest`` the most
+    classes of any degree from 2 up to this one.  Which minimal words are
+    singular is answered by ``iter_singular_sets``.
     """
 
     degree: int
@@ -219,15 +222,16 @@ class _Rules:
     holds the pair codes of the zero monomials, and zero_before[b] the
     letters a with a b a zero monomial, for block walks.  The class
     quotient reads the same facts by first letter: joins[a] lists a triple
-    (b, r0, r1) for each swap a b -> r0 r1, and zero_after[a] the letters
-    b with a b a zero monomial.  ``fate`` is None until a chain stepped
-    from degree 1 meets the quotient's end: ("dies", m, widest) when degree
-    m has no class, or ("repeats", m, widest) when degree m's blocks equal
-    degree m-1's, with widest the most classes of any degree 2..m-1.
+    (b, r0, r1) for each swap a b -> r0 r1, then (b, 0, 0) for each zero
+    monomial a b: slot d*(n+1) + 0 of a blocks list is always zero, so such
+    a triple joins its block to the quotient's zero sink.  ``fate`` is None
+    until a chain stepped from degree 1 meets the quotient's end: ("dies",
+    m, widest) when degree m has no class, or ("repeats", m, widest) when
+    degree m's blocks equal degree m-1's, with widest the most classes of
+    any degree 2..m-1.
     """
 
-    __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
-                 "zero_after", "fate")
+    __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins", "fate")
 
     def __init__(self, n, swap, zeros):
         self.n = n
@@ -242,9 +246,8 @@ class _Rules:
                                  for b in range(n + 1))
         self.joins = tuple(tuple((b, r0, r1) for b in range(n + 1) if (a, b) in swap
                                  for r0, r1 in swap[a, b])
+                           + tuple((z[1], 0, 0) for z in zeros if z[0] == a)
                            for a in range(n + 1))
-        self.zero_after = tuple(tuple(z[1] for z in zeros if z[0] == a)
-                                for a in range(n + 1))
 
 
 def _check_alphabet(n: int) -> None:
@@ -297,7 +300,7 @@ def _encode_word(word, rules: _Rules) -> int:
         raise ValueError("the empty word has no coset class")
     n = rules.n
     for x in word:
-        if not isinstance(x, int) or not 1 <= x <= n:
+        if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
             raise ValueError(f"letter {x!r} outside alphabet 1..{n}")
     return _pack(word, rules.k)
 
@@ -746,30 +749,28 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
     """The basis one degree above ``basis``, from its class quotient alone.
 
     With w = n + 1, slot c*w + b stands for the block of words u + b with
-    u in class c.  It is zero when a last letter of class c makes a zero
-    monomial with b, and it joins slot t*w + r1 for every nonzero slot
-    d*w + a of class c and every swap a b -> r0 r1, where t is the class
-    of slot d*w + r0; a zero slot d*w + r0 makes it zero.  Zero spreads
-    over its component.  The union-find links the larger root under the
-    smaller, so parent[x] <= x throughout and one ascending pass leaves
-    every slot at its root.  ResourceExhausted when the new degree has
-    more than ``width`` classes; the step walks no word, so no class-size
-    cap bounds it.  The first new degree with no class, or with the same
-    blocks as ``basis``, goes into ``rules.fate`` with ``basis._widest``
-    before the width cap is checked.
+    u in class c.  For every nonzero slot d*w + a of class c and every
+    join (b, r0, r1) of a, slot c*w + b joins slot t*w + r1, where t is
+    the class of slot d*w + r0, or slot 0, the zero sink, when that slot
+    is zero, as slot d*w + 0 always is.  The union-find links the larger
+    root under the smaller, so parent[x] <= x throughout, the sink roots
+    every component it is in, and one ascending pass leaves every slot at
+    its root.  Class ids go straight into the new blocks list, where a
+    root's own slot holds its class's id.  ResourceExhausted when the new
+    degree has more than ``width`` classes; the step walks no word, so no
+    class-size cap bounds it.  The first new degree with no class, or with
+    the same blocks as ``basis``, goes into ``rules.fate`` with
+    ``basis._widest`` before the width cap is checked.
     """
     w = rules.n + 1
     joins = rules.joins
-    zero_after = rules.zero_after
     minimals = basis.minimals
     blocks = basis._blocks
     count = len(minimals)
     parent = list(range(count * w))
-    zero = []
     for a in range(1, w):
-        za = zero_after[a]
         ja = joins[a]
-        if not za and not ja:
+        if not ja:
             continue
         row = -w
         for c in blocks[a::w]:
@@ -777,17 +778,12 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
             if c < 0:
                 continue
             base = c * w
-            for b in za:
-                zero.append(base + b)
             for b, r0, r1 in ja:
                 t = blocks[row + r0]
-                if t < 0:
-                    zero.append(base + b)
-                    continue
                 x = base + b
                 while parent[x] != x:
                     parent[x] = x = parent[parent[x]]
-                y = t * w + r1
+                y = t * w + r1 if t >= 0 else 0
                 while parent[y] != y:
                     parent[y] = y = parent[parent[y]]
                 if x < y:
@@ -796,14 +792,10 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
                     parent[x] = y
     for x in range(count * w):
         parent[x] = parent[parent[x]]
-    dead = bytearray(count * w)
-    for x in zero:
-        dead[parent[x]] = 1
     # scanning slots by last letter, then by class, meets each class first
     # at its minimum and the classes in rtl order of their minima; a
     # degree with more classes than the one below neither dies nor repeats
     limit = max(width, count)
-    ids = [-1] * (count * w)
     new_min = []
     new_blocks = [-1] * (count * w)
     degree = basis.degree + 1
@@ -813,11 +805,11 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
         for c in range(count):
             u += w
             r = parent[u]
-            if dead[r]:
+            if not r:
                 continue
-            k = ids[r]
+            k = new_blocks[r]
             if k < 0:
-                k = ids[r] = len(new_min)
+                k = new_blocks[r] = len(new_min)
                 if k == limit:
                     raise _too_wide(degree, width)
                 new_min.append(minimals[c] + letter)

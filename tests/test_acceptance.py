@@ -191,6 +191,9 @@ def test_criterion_07_oracle_equivalence():
             cases.append((p, IdealMode.WITHOUT_TOP, True))
     for p in _spot_presentations():
         cases.append((p, IdealMode.FULL, False))
+    # includes monomials that are both zero and a side of a binomial
+    for p in enumerate_presentations(2, 3):
+        cases.append((p, IdealMode.FULL, False))
     for p, mode, without_top in cases:
         n = p.alphabet.n
         basis = initial_basis(p, mode)

@@ -237,6 +237,8 @@ class TestErrors:
             coset_class((1, 3), m2)
         with pytest.raises(ValueError, match="outside alphabet"):
             coset_class((0,), m2)
+        with pytest.raises(ValueError, match="outside alphabet"):
+            coset_class((True, 2), m2)
 
     def test_reduced_mode_needs_the_top_relation(self):
         p = presentation(2, [Relation.zero(1, 1)])
@@ -324,6 +326,8 @@ class TestBases:
                     sizes = [1] * n
                     for _ in range(5):
                         basis = next_minimal_basis(basis, p, mode)
+                        # slot d*(n+1) is the next step's way to its zero sink
+                        assert all(c == -1 for c in basis._blocks[::n + 1]), (p, mode)
                         new = [0] * len(basis.minimals)
                         for slot, c in enumerate(basis._blocks):
                             if c >= 0:

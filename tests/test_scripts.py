@@ -36,6 +36,13 @@ def test_nilpotency_survey_reports_the_tower_n5_row():
     assert (verdict, nilp, total) == ("regular:10", "11", "507")
 
 
+def test_nilpotency_survey_rejects_non_positive_values():
+    # argparse exits 2 with a usage error; a value that reached EngineLimits
+    # or build_regular_qhs would end in a traceback and exit 1
+    for flag in ("--min-n", "--cap", "--max-class-size"):
+        assert _run_script("nilpotency_survey.py", flag, "0", returncode=2) == ""
+
+
 def test_capped_answers_writes_and_compares(tmp_path):
     old = tmp_path / "old.json"
     out = _run_script("capped_answers.py", "write", str(old),
