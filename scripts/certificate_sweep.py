@@ -11,13 +11,21 @@ import argparse
 import sys
 import time
 
-from quadsemi.census import certificate_sweep
+from quadsemi.census import GENERAL_ENUM_CAP, certificate_sweep
+from quadsemi.cli import _positive
+
+
+def _generator_count(text: str) -> int:
+    n = _positive(text)
+    if n > GENERAL_ENUM_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {GENERAL_ENUM_CAP}")
+    return n
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, nargs="+", default=[2, 3])
-    parser.add_argument("--verify-k", type=int, default=None,
+    parser.add_argument("--n", type=_generator_count, nargs="+", default=[2, 3])
+    parser.add_argument("--verify-k", type=_positive, default=None,
                         help="replay each stable pair to this power")
     args = parser.parse_args(argv)
 

@@ -1,10 +1,10 @@
 """Survey the tower algebras: regularity degree, nilpotency index, dimensions.
 
 Runs the full coset engine on build_regular_qhs(n) for a range of n and
-prints one row per algebra.  n = 7 takes 8 to 13 s on a shared 2-vCPU
-host, nearly all of it the regularity search; its Hilbert profile, which
-runs first so that regularity reads the quotient's end, takes about
-0.3 s.  The n = 8 regularity search does not finish at desk range, so an
+prints one row per algebra.  n = 7 takes 6.5 to 7.5 s on a shared
+2-vCPU Intel Xeon host, nearly all of it the regularity search; its
+Hilbert profile, which runs first so that regularity reads the
+quotient's end, takes about 0.15 s.  The n = 8 regularity search does not finish at desk range, so an
 n = 8 row is not reached; the n = 8 Hilbert profile alone (``quadsemi
 hilbert``) ends at nilpotency index 23 with total dimension 615,845 in
 about 3 s of CPU and 96 MB of peak resident memory on the same host.

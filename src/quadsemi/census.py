@@ -193,7 +193,7 @@ def certificate_sweep(n: int, verify_k: int | None = None) -> SweepReport:
                 witness_failures += 1
 
     visit(presentation(n, []))
-    for p in enumerate_presentations(n, d_max):
+    for p in enumerate_presentations(n, d_max) if d_max else ():
         visit(p)
     return SweepReport(
         n,

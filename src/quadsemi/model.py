@@ -30,7 +30,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, eq
+from itertools import starmap
+from operator import attrgetter, eq, ge
 
 Pair = tuple[int, int]
 Word = tuple[int, ...]
@@ -222,22 +223,8 @@ class Presentation:
 
     @cached_property
     def is_qhs(self) -> bool:
-        """``validate_qhs(self).valid``, stopping at the first failure.
-
-        Admissible relations have supports among the lower pairs, so
-        disjoint supports cover all n(n+1)/2 of them exactly when they
-        number that many.
-        """
-        n = self.alphabet.n
-        seen: set = set()
-        for rel in self.relations:
-            if not rel._fits_qhs():
-                return False
-            for q in rel.support:
-                if q in seen:
-                    return False
-                seen.add(q)
-        return len(seen) == n * (n + 1) // 2 and Relation.zero(n, 1) in self.relations
+        """``validate_qhs(self).valid``, stopping at the first violation."""
+        return next(_violations(self), None) is None
 
     @cached_property
     def _content_id(self) -> str:
@@ -288,28 +275,35 @@ def validate_qhs(p: Presentation) -> QhsReport:
     x_n x_1 = 0 is a consequence of the axioms; its absence is reported
     under its own violation kind as well.
     """
-    n = p.alphabet.n
-    violations = []
+    violations = tuple(_violations(p))
+    return QhsReport(not violations, violations)
 
+
+def _violations(p: Presentation):
+    """Yield the violations of the QHS axioms one at a time, in report order.
+
+    Overlaps come first, then coverage gaps in pair order, then bad shapes,
+    then the missing top monomial.  Gaps are looked for only when fewer
+    than the n(n+1)/2 lower pairs are covered, and are listed lazily, so a
+    caller that stops at the first violation pays O(relations).
+    """
+    n = p.alphabet.n
     seen: set = set()
     flagged: set = set()
     for rel in p.relations:
         for q in rel.support:
             if q in seen and q not in flagged:
-                violations.append(Violation(
-                    ViolationKind.DISJOINTNESS_VIOLATED,
-                    f"monomial {pair_str(q)} occurs in more than one support",
-                    q,
-                ))
+                yield Violation(ViolationKind.DISJOINTNESS_VIOLATED,
+                                f"monomial {pair_str(q)} occurs in more than one support", q)
                 flagged.add(q)
             seen.add(q)
 
-    for q in sorted(lower_pairs(n) - seen, key=pair_key):
-        violations.append(Violation(
-            ViolationKind.COVERAGE_GAP,
-            f"no support covers {pair_str(q)}",
-            q,
-        ))
+    if sum(starmap(ge, seen)) < n * (n + 1) // 2:
+        for b in range(1, n + 1):
+            for a in range(b, n + 1):
+                if (a, b) not in seen:
+                    yield Violation(ViolationKind.COVERAGE_GAP,
+                                    f"no support covers {pair_str((a, b))}", (a, b))
 
     for rel in p.relations:
         if rel._fits_qhs():
@@ -318,17 +312,12 @@ def validate_qhs(p: Presentation) -> QhsReport:
             detail = f"zero monomial {pair_str(rel.left)} has ascending letters"
         else:
             detail = f"relation {rel} matches neither admissible shape"
-        violations.append(Violation(ViolationKind.BAD_RELATION_SHAPE, detail, rel.left))
+        yield Violation(ViolationKind.BAD_RELATION_SHAPE, detail, rel.left)
 
-    top = (n, 1)
-    if not any(rel.is_zero and rel.left == top for rel in p.relations):
-        violations.append(Violation(
-            ViolationKind.MISSING_TOP_MONOMIAL,
-            f"mandatory zero monomial {pair_str(top)} is absent",
-            top,
-        ))
-
-    return QhsReport(not violations, tuple(violations))
+    top = Relation.zero(n, 1)
+    if top not in p.relations:
+        yield Violation(ViolationKind.MISSING_TOP_MONOMIAL,
+                        f"mandatory zero monomial {pair_str(top.left)} is absent", top.left)
 
 
 def strip_top(p: Presentation) -> Presentation:

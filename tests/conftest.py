@@ -1,13 +1,15 @@
 import pytest
 
-from quadsemi import base_qhs, build_regular_qhs, textio
+from quadsemi import base_qhs, build_regular_qhs, engine, textio
 
 
 @pytest.fixture(autouse=True)
-def _fresh_parse_memo():
-    """Start every test with an empty parse memo, so that no test depends
-    on texts an earlier test parsed."""
+def _fresh_memos():
+    """Start every test with an empty parse memo and no recorded quotient
+    fates, so that no test depends on texts an earlier test parsed or on
+    quotients an earlier test stepped."""
     textio._parse_once.cache_clear()
+    engine._rules.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -91,7 +91,6 @@ class TestQhsEnumeration:
         # the table's open verdicts are exactly the open profiles (test above)
         ranked, expected = _n5_hilbert_table()
         limits = CENSUS_LIMITS
-        engine._rules.cache_clear()
 
         def no_walk(*_args):
             raise AssertionError("the singular sets were walked")

@@ -577,7 +577,6 @@ class TestRepeatingQuotient:
     def test_open_census_presentation_is_settled_without_a_walk(self, monkeypatch,
                                                                 max_degree):
         p = parse_presentation(CENSUS_OPEN)
-        engine._rules.cache_clear()
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
         result = regularity_degree(p, EngineLimits(max_degree=max_degree))
         assert (result.status, result.degree) == ("irregular_up_to", max_degree)
@@ -586,7 +585,6 @@ class TestRepeatingQuotient:
 
     def test_a_hilbert_profile_shares_the_fate(self, monkeypatch):
         p = parse_presentation(CENSUS_OPEN)
-        engine._rules.cache_clear()
         hilbert_profile(p, 12)
         # dims 1, 5, 15, 29, 32, 27, 25, 25, ...: degree 4 is the widest
         # before the repeat
@@ -641,7 +639,6 @@ class TestRepeatingQuotient:
         # it: every class-size cap, and every width cap of at least 32, the
         # widest degree before the repeat.  A fresh chain at width cap 31
         # raises at degree 4, so there the fate is not read
-        engine._rules.cache_clear()
         p, steps = _census_open_steps(monkeypatch)
         hilbert_profile(p, 12)
         del steps[:]
@@ -659,7 +656,6 @@ class TestRepeatingQuotient:
         assert engine._rules(p, FULL).fate is None
 
     def test_a_fate_past_the_degree_cap_is_not_read(self, monkeypatch):
-        engine._rules.cache_clear()
         p, steps = _census_open_steps(monkeypatch)
         hilbert_profile(p, 12)
         del steps[:]
@@ -675,7 +671,6 @@ class TestRepeatingQuotient:
         # cap 30 outgrows degree 4 (32 classes) and never meets the repeat,
         # so the fate is not read there.  Only the degree built is checked:
         # at width cap 24 the step raises there
-        engine._rules.cache_clear()
         p, steps = _census_open_steps(monkeypatch)
         basis = initial_basis(p, FULL)
         while basis.degree < 7:
@@ -730,7 +725,6 @@ class TestRepeatingQuotient:
         # 1's ids, and the three slots after x2 are zero: the blocks repeat
         # only once those trailing zero slots are ignored
         p = parse_presentation("generators 2\nx2*x2 = 0\nx2*x1 = 0\n")
-        engine._rules.cache_clear()
         assert engine._full_fate(p, EngineLimits(max_degree=8)) == ("repeats", 2)
 
     def test_fates_are_frozen(self):

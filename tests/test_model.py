@@ -29,6 +29,7 @@ from quadsemi.model import (
     to_json_dict,
     validate_qhs,
 )
+from quadsemi.textio import parse_presentation
 
 from small_qhs import qhs_census
 
@@ -211,6 +212,20 @@ class TestValidate:
         assert verdicts == {True, False}
         for p in cases:
             assert p.is_qhs == validate_qhs(p).valid, p
+
+    def test_reports_are_frozen(self):
+        # the ordered (kind, detail, pair) triples of 1,768 reports, one
+        # JSON line each: any change to a report's wording or order moves
+        # the digest
+        cases = [*enumerate_presentations(2, 4), *enumerate_presentations(3, 2),
+                 *(p for n in (1, 2, 3, 4) for p in qhs_census(n)),
+                 parse_presentation("generators 1000\n")]
+        digest = hashlib.sha256()
+        for p in cases:
+            triples = [[v.kind.value, v.detail, v.pair] for v in validate_qhs(p).violations]
+            digest.update(json.dumps(triples).encode("ascii") + b"\n")
+        assert len(cases) == 1768
+        assert digest.hexdigest() == "f189a7efbed15c85568a537a8b8e1ad58db922f503a5450800db45b9dcf65a43"
 
     def test_empty_presentation_reports_every_gap(self):
         report = validate_qhs(presentation(2, []))

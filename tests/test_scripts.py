@@ -43,6 +43,16 @@ def test_nilpotency_survey_rejects_non_positive_values():
         assert _run_script("nilpotency_survey.py", flag, "0", returncode=2) == ""
 
 
+def test_certificate_sweep_rejects_out_of_range_values():
+    # n runs from 1 to census.GENERAL_ENUM_CAP and k from 1; anything else
+    # is an argparse usage error (exit 2) rather than a traceback (exit 1)
+    for args in (("--n", "0"), ("--n", "-1"), ("--n", "4"), ("--verify-k", "0")):
+        assert _run_script("certificate_sweep.py", *args, returncode=2) == ""
+    # n = 1 allows no relation at all, so only the empty presentation is swept
+    out = _run_script("certificate_sweep.py", "--n", "1", "--verify-k", "2")
+    assert out.startswith("n=1 d_max=0 total=1 se_pair=1 zero_sum=0 uncertified=0 invalid=0 ")
+
+
 def test_capped_answers_writes_and_compares(tmp_path):
     old = tmp_path / "old.json"
     out = _run_script("capped_answers.py", "write", str(old),
