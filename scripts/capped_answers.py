@@ -31,13 +31,14 @@ import json
 import sys
 
 from quadsemi.analysis import hilbert_profile
-from quadsemi.census import enumerate_qhs
-from quadsemi.constructions import build_regular_qhs, power_witness
+from quadsemi.census import QHS_ENUM_CAP, enumerate_qhs
+from quadsemi.constructions import build_regular_qhs, power_witness, witness_power
 from quadsemi.engine import (
     DEFAULT_LIMITS,
     ENGINE_VERSION,
     EngineLimits,
     ResourceExhausted,
+    _check_alphabet,
     regularity_degree,
 )
 from quadsemi.model import monomial_str, presentation_hash
@@ -45,6 +46,30 @@ from quadsemi.model import monomial_str, presentation_hash
 CAPS = (3, 10, 30, 100, 1000)
 WIDTHS = (2, 5, 30)
 MAX_DEGREE = 12
+
+
+def _non_negative(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return k
+
+
+def _qhs_size(text: str) -> int:
+    n = _non_negative(text)
+    if n > QHS_ENUM_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {QHS_ENUM_CAP}")
+    return n
+
+
+def _tower_size(text: str) -> int:
+    n = int(text)
+    try:
+        witness_power(n)  # a tower witness needs n >= 5
+        _check_alphabet(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
 
 
 def cases(max_n: int, towers: list, n5_every: int):
@@ -140,9 +165,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     w = sub.add_parser("write", help="compute the answers and write them as JSON")
     w.add_argument("out")
-    w.add_argument("--max-n", type=int, default=4, help="every QHS with n up to this")
-    w.add_argument("--towers", type=int, nargs="*", default=[5, 6])
-    w.add_argument("--n5-every", type=int, default=97,
+    w.add_argument("--max-n", type=_qhs_size, default=4, help="every QHS with n up to this")
+    w.add_argument("--towers", type=_tower_size, nargs="*", default=[5, 6])
+    w.add_argument("--n5-every", type=_non_negative, default=97,
                    help="every k-th n = 5 QHS; 0 for none")
     w.set_defaults(run=write)
     c = sub.add_parser("compare", help="list the answers that moved between two files")

@@ -17,8 +17,17 @@ import time
 from quadsemi.analysis import hilbert_profile, total_dimension
 from quadsemi.cli import _positive
 from quadsemi.constructions import build_regular_qhs
-from quadsemi.engine import DEFAULT_LIMITS, EngineLimits, regularity_degree
+from quadsemi.engine import DEFAULT_LIMITS, EngineLimits, _check_alphabet, regularity_degree
 from quadsemi.model import delta
+
+
+def _generator_count(text: str) -> int:
+    n = _positive(text)
+    try:
+        _check_alphabet(n)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
 
 
 def survey_row(n: int, limits: EngineLimits) -> str:
@@ -44,8 +53,8 @@ def survey_row(n: int, limits: EngineLimits) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--min-n", type=_positive, default=1)
-    parser.add_argument("--max-n", type=int, default=6)
+    parser.add_argument("--min-n", type=_generator_count, default=1)
+    parser.add_argument("--max-n", type=_generator_count, default=6)
     parser.add_argument("--cap", type=_positive, default=40, help="degree cap")
     parser.add_argument("--max-class-size", type=_positive,
                         default=DEFAULT_LIMITS.max_class_size)

@@ -42,6 +42,7 @@ from .engine import (
     DEFAULT_LIMITS,
     EngineLimits,
     ResourceExhausted,
+    _check_alphabet,
     regularity_degree,
     singular_monomials,
 )
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("nilpotency", help="smallest degree whose words all die in the ideal")
     s.add_argument("file")
-    s.add_argument("--cap", type=_positive, default=None, metavar="D")
+    s.add_argument("--cap", type=_positive, default=None, metavar="D", dest="max_degree")
 
     s = sub.add_parser("singular", help="singular monomials of one degree")
     s.add_argument("file")
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("regularity", help="first degree with no singular monomials")
     s.add_argument("file")
-    s.add_argument("--cap", type=_positive, default=None, metavar="D")
+    s.add_argument("--cap", type=_positive, default=None, metavar="D", dest="max_degree")
     s.add_argument("--json", action="store_true")
 
     s = sub.add_parser("certify", help="search for an infinite-dimensionality certificate")
@@ -167,11 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _limits(args, base: EngineLimits = DEFAULT_LIMITS) -> EngineLimits:
-    if args.max_class_size is not None:
-        base = replace(base, max_class_size=args.max_class_size)
-    if args.max_classes is not None:
-        base = replace(base, max_classes=args.max_classes)
-    return base
+    """base with every cap flag the command line gave: the global class caps
+    and a command's degree cap (``--max-degree`` or ``--cap``)."""
+    caps = {name: cap for name in ("max_class_size", "max_classes", "max_degree")
+            if (cap := getattr(args, name, None)) is not None}
+    return replace(base, **caps) if caps else base
 
 
 def _load(path):
@@ -181,30 +182,30 @@ def _load(path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, written: str | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {out}")
+        print(f"wrote {written or out}")
 
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _cached_result(args, phash: str, operation: str, parameters: dict, compute):
+def _cached_result(args, p, operation: str, parameters: dict, compute):
     cache = resolve_cache(args.cache)
-    if cache is not None:
-        hit = cache.lookup(phash, operation, parameters)
-        if hit is not None:
-            return hit
+    if cache is None:
+        return compute()
+    key = presentation_hash(p)
+    hit = cache.lookup(key, operation, parameters)
+    if hit is not None:
+        return hit
     start = time.perf_counter()
     result = compute()
-    if cache is not None:
-        cache.store(phash, operation, parameters, result,
-                    time.perf_counter() - start)
+    cache.store(key, operation, parameters, result, time.perf_counter() - start)
     return result
 
 
@@ -250,22 +251,15 @@ def _cmd_extend(args) -> int:
     return OK
 
 
-def _hilbert_result(args, p, cap: int) -> dict:
+def _hilbert_result(args, p) -> dict:
     limits = _limits(args)
-    parameters = {"max_degree": cap, "max_classes": limits.max_classes}
-    return _cached_result(
-        args,
-        presentation_hash(p),
-        "hilbert",
-        parameters,
-        lambda: profile_to_json(hilbert_profile(p, cap, limits=limits)),
-    )
+    parameters = {"max_degree": limits.max_degree, "max_classes": limits.max_classes}
+    return _cached_result(args, p, "hilbert", parameters,
+                          lambda: profile_to_json(hilbert_profile(p, limits=limits)))
 
 
 def _cmd_hilbert(args) -> int:
-    p = _load(args.file)
-    cap = args.max_degree if args.max_degree is not None else DEFAULT_LIMITS.max_degree
-    result = _hilbert_result(args, p, cap)
+    result = _hilbert_result(args, _load(args.file))
     dims = result["dims"]
     if args.json:
         _print_json(result)
@@ -287,9 +281,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_nilpotency(args) -> int:
-    p = _load(args.file)
-    cap = args.cap if args.cap is not None else DEFAULT_LIMITS.max_degree
-    result = _hilbert_result(args, p, cap)
+    result = _hilbert_result(args, _load(args.file))
     if result["nilpotency_index"] is not None:
         print(f"nilpotency index: {result['nilpotency_index']}")
         return OK
@@ -309,7 +301,7 @@ def _cmd_singular(args) -> int:
         words = singular_monomials(p, args.degree, limits)
         return {"degree": args.degree, "singular": [list(w) for w in words]}
 
-    result = _cached_result(args, presentation_hash(p), "singular", parameters, compute)
+    result = _cached_result(args, p, "singular", parameters, compute)
     if args.json:
         _print_json(result)
     else:
@@ -323,12 +315,9 @@ def _cmd_singular(args) -> int:
 def _cmd_regularity(args) -> int:
     p = _load(args.file)
     limits = _limits(args)
-    cap = args.cap if args.cap is not None else limits.max_degree
-    limits = replace(limits, max_degree=cap)
-    parameters = {"cap": cap, "max_class_size": limits.max_class_size,
+    parameters = {"cap": limits.max_degree, "max_class_size": limits.max_class_size,
                   "max_classes": limits.max_classes}
-
-    result = _cached_result(args, presentation_hash(p), "regularity", parameters,
+    result = _cached_result(args, p, "regularity", parameters,
                             lambda: asdict(regularity_degree(p, limits)))
     if args.json:
         _print_json(result)
@@ -374,6 +363,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_lemma_m1(args) -> int:
     q = args.power if args.power is not None else witness_power(args.n)
+    _check_alphabet(args.n)  # before the tower is built, not after
     p = build_regular_qhs(args.n)
     limits = _limits(args)
     parameters = {"n": args.n, "q": q, "max_class_size": limits.max_class_size}
@@ -386,7 +376,7 @@ def _cmd_lemma_m1(args) -> int:
             "witness": list(witness) if witness is not None else None,
         }
 
-    result = _cached_result(args, presentation_hash(p), "lemma-m1", parameters, compute)
+    result = _cached_result(args, p, "lemma-m1", parameters, compute)
     if args.json:
         _print_json(result)
     elif result["witness"] is not None:
@@ -425,13 +415,7 @@ def _cmd_delta_table(args) -> int:
 
 def _cmd_census(args) -> int:
     records = census_records(args.n, _limits(args, CENSUS_LIMITS))
-    text = census_csv(records)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(records)} records to {args.out}")
+    _emit(census_csv(records), args.out, f"{len(records)} records to {args.out}")
     return OK
 
 

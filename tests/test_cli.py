@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -126,6 +127,14 @@ class TestBuildExtend:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "error: extension requires a valid QHS inner presentation" in err
+
+    def test_lemma_m1_rejects_a_large_alphabet_quickly(self, capsys):
+        # refused before the n = 300 tower is built, which takes seconds
+        start = time.perf_counter()
+        assert main(["lemma-m1", "--n", "300"]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == "error: the coset engine supports at most 255 generators\n"
 
 
 def _cli_in_limited_memory(argv, limit):
@@ -562,3 +571,68 @@ class TestParserReuse:
             main(["--version"])
         assert err.value.code == 0
         assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+class TestFrozenBehaviour:
+    """One digest over what the CLI prints, returns and caches for a fixed
+    command matrix: any change a user or the cache would see moves it."""
+
+    QUERIES = [
+        ["hilbert", "m2.txt"],
+        ["hilbert", "free2.txt"],
+        ["hilbert", "m3.txt", "--csv"],
+        ["hilbert", "m4.txt", "--json"],
+        ["hilbert", "free2.txt", "--max-degree", "3"],
+        ["hilbert", "wide.txt", "--max-degree", "4", "--json"],
+        ["nilpotency", "m2.txt"],
+        ["nilpotency", "free2.txt", "--cap", "3"],
+        ["nilpotency", "m4.txt", "--cap", "5"],
+        ["regularity", "m3.txt"],
+        ["regularity", "m4.txt", "--cap", "2"],
+        ["regularity", "m4.txt", "--json"],
+        ["regularity", "m3.txt", "--cap", "3", "--json"],
+        ["regularity", "free2.txt"],
+        ["singular", "m3.txt", "--degree", "2"],
+        ["singular", "m4.txt", "--degree", "3", "--json"],
+        ["lemma-m1", "--n", "3", "--power", "3"],
+        ["lemma-m1", "--n", "4", "--power", "3", "--json"],
+        ["lemma-m1", "--n", "4"],
+        ["census", "--n", "2"],
+        ["census", "--n", "2", "--out", "census.csv"],
+        ["--max-classes", "2", "hilbert", "wide.txt"],
+        ["--max-classes", "3", "nilpotency", "wide.txt", "--cap", "6"],
+        ["--max-classes", "3", "regularity", "m4.txt", "--json"],
+        ["--max-class-size", "2", "regularity", "m4.txt"],
+        ["--max-class-size", "2", "singular", "m4.txt", "--degree", "3"],
+        ["--max-class-size", "2", "hilbert", "m4.txt", "--max-degree", "6"],
+        ["--max-class-size", "3", "lemma-m1", "--n", "4", "--power", "4"],
+        ["--max-class-size", "1", "census", "--n", "2", "--out", "census.csv"],
+    ]
+
+    def test_outputs_and_records_are_frozen(self, tmp_path, m3, m4, capsys, monkeypatch):
+        # relative paths keep tmp_path out of argv and output; the matrix runs
+        # without a cache, then twice with one (misses that store, then hits)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("QUADSEMI_CACHE_DIR", raising=False)
+        for name, text in (("m2.txt", M2_TEXT), ("free2.txt", FREE2_TEXT),
+                           ("wide.txt", "generators 3\nx1*x1 = 0\n"),
+                           ("m3.txt", render_presentation(m3)),
+                           ("m4.txt", render_presentation(m4))):
+            (tmp_path / name).write_text(text)
+        digest = hashlib.sha256()
+        for prefix in ([], ["--cache", "cache"], ["--cache", "cache"]):
+            for query in self.QUERIES:
+                argv = prefix + query
+                code = main(argv)
+                captured = capsys.readouterr()
+                written = (tmp_path / "census.csv").read_text() if "--out" in argv else None
+                digest.update(json.dumps([argv, code, captured.out, captured.err,
+                                          written]).encode("utf-8") + b"\n")
+        records = [json.loads(line) for line in
+                   (tmp_path / "cache" / "runs.jsonl").read_text().splitlines()]
+        for record in records:
+            digest.update(json.dumps([record[key] for key in (
+                "presentation_hash", "operation", "parameters", "result")],
+                sort_keys=True).encode("utf-8") + b"\n")
+        assert len(records) == 20
+        assert digest.hexdigest() == "fac3a27d13cfdf5c513b8c8df9222ce42aa23444de16f9b8d7d058a8e7718572"

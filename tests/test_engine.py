@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import islice
@@ -367,6 +368,84 @@ class TestBases:
         assert full.minimals != reduced.minimals
         rebuilt = next_minimal_basis(full, m2, REDUCED)
         assert rebuilt.minimals == next_minimal_basis(reduced, m2, REDUCED).minimals
+
+
+def _slot_class(word, bases, n):
+    """Class id of a word, read off its slot path through each degree's
+    blocks (slot d*(n+1) + a for class d one degree down and letter a), or
+    -1 when a block on the path is zero."""
+    c = 0
+    for basis, letter in zip(bases, word):
+        c = basis._blocks[c * (n + 1) + letter]
+        if c < 0:
+            break
+    return c
+
+
+def _member_path_checks(p, mode, max_degree, words=50, swaps=50, seed=7):
+    """Check the class quotient against class walks at every degree it keeps.
+
+    At each degree up to max_degree (or the first empty one), some class
+    ids are drawn and each class minimum is moved by random relation swaps
+    to another member; that member's slot path must end at the class, and
+    its walked class must have that minimum.  The member is then extended
+    by a random letter, whose slot path must give the walked class one
+    degree up, or zero.  Returns the number of words checked.
+    """
+    n = p.alphabet.n
+    bases = [initial_basis(p, mode)]
+    while bases[-1].minimals and bases[-1].degree < max_degree:
+        bases.append(next_minimal_basis(bases[-1], p, mode))
+    moves = {}
+    for r in p.relations:
+        if not r.is_zero:
+            moves.setdefault(r.left, []).append(r.right)
+            moves.setdefault(r.right, []).append(r.left)
+    rng = random.Random(seed)
+    checks = 0
+    for m, basis in enumerate(bases, 1):
+        minimals = basis.minimals
+        for c in rng.sample(range(len(minimals)), min(words, len(minimals))):
+            word = list(minimals[c])
+            for _ in range(swaps):
+                movable = [j for j in range(m - 1) if (word[j], word[j + 1]) in moves]
+                if not movable:
+                    break
+                j = rng.choice(movable)
+                word[j:j + 2] = rng.choice(moves[word[j], word[j + 1]])
+            assert _slot_class(word, bases, n) == c, (p, mode, word)
+            assert coset_class(word, p, mode).minimal == minimals[c], (p, mode, word)
+            checks += 1
+            if m < len(bases):
+                word.append(rng.randint(1, n))
+                up = _slot_class(word, bases, n)
+                expected = bases[m].minimals[up] if up >= 0 else None
+                assert coset_class(word, p, mode).minimal == expected, (p, mode, word)
+                checks += 1
+    return checks
+
+
+class TestQuotientAtFullDepth:
+    """The quotient's class of a word, read off its slot path, is the class
+    that a walk from that word finds, at every degree the quotient reaches."""
+
+    def test_small_qhs_to_their_end(self):
+        checks = sum(_member_path_checks(p, FULL, 10)
+                     for n in (1, 2, 3) for p in qhs_census(n))
+        # every class of every degree: none has 50 classes in one degree
+        assert checks == 298
+
+    @pytest.mark.parametrize("n, checks", [(5, 630), (6, 1102)])
+    def test_towers_to_their_end(self, n, checks):
+        assert _member_path_checks(build_regular_qhs(n), FULL, 64) == checks
+
+    def test_open_census_presentation_past_its_repeat(self):
+        # the FULL quotient repeats at degree 8
+        assert _member_path_checks(parse_presentation(CENSUS_OPEN), FULL, 11) == 491
+
+    def test_without_top(self, m4):
+        # infinite once the top zero monomial is dropped
+        assert _member_path_checks(m4, REDUCED, 10) == 722
 
 
 class TestSingularIteration:

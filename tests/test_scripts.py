@@ -43,6 +43,19 @@ def test_nilpotency_survey_rejects_non_positive_values():
         assert _run_script("nilpotency_survey.py", flag, "0", returncode=2) == ""
 
 
+def test_scripts_reject_sizes_they_cannot_use(tmp_path):
+    # the engine takes at most 255 generators, enumerate_qhs at most
+    # census.QHS_ENUM_CAP, a tower witness at least 5, and a sampling step
+    # is at least 0: anything else is a usage error before any work starts
+    assert _run_script("nilpotency_survey.py", "--min-n", "256", "--max-n", "256",
+                       returncode=2) == ""
+    out = tmp_path / "out.json"
+    for args in (("--max-n", "6"), ("--max-n", "-1"), ("--towers", "4"),
+                 ("--towers", "256"), ("--n5-every", "-1")):
+        assert _run_script("capped_answers.py", "write", str(out), *args, returncode=2) == ""
+    assert not out.exists()
+
+
 def test_certificate_sweep_rejects_out_of_range_values():
     # n runs from 1 to census.GENERAL_ENUM_CAP and k from 1; anything else
     # is an argparse usage error (exit 2) rather than a traceback (exit 1)
