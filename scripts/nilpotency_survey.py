@@ -1,23 +1,23 @@
 """Survey the tower algebras: regularity degree, nilpotency index, dimensions.
 
-Runs the full coset engine on build_regular_qhs(n) for a range of n and
-prints one row per algebra.  n = 7 takes 6.5 to 7.5 s on a shared
-2-vCPU Intel Xeon host, nearly all of it the regularity search; its
-Hilbert profile, which runs first so that regularity reads the
-quotient's end, takes about 0.15 s.  The n = 8 regularity search does not finish at desk range, so an
-n = 8 row is not reached; the n = 8 Hilbert profile alone (``quadsemi
-hilbert``) ends at nilpotency index 23 with total dimension 615,845 in
-about 3 s of CPU and 96 MB of peak resident memory on the same host.
+Runs ``profile_and_regularity`` on build_regular_qhs(n) for a range of n
+and prints one row per algebra; the nilpotency index and total dimension
+come from the Hilbert profile ('-' if it outlives the degree cap).  n = 7
+takes 6.5 to 7.5 s on a shared 2-vCPU Intel Xeon host, nearly all of it
+the regularity search.  The n = 8 regularity search does not finish at
+desk range; the n = 8 Hilbert profile alone (``quadsemi hilbert``) ends
+at nilpotency index 23 with total dimension 615,845 in about 3 s of CPU
+and 96 MB of peak resident memory on the same host.
 """
 
 import argparse
 import sys
 import time
 
-from quadsemi.analysis import hilbert_profile, total_dimension
+from quadsemi.analysis import profile_and_regularity, total_dimension
 from quadsemi.cli import _positive
 from quadsemi.constructions import build_regular_qhs
-from quadsemi.engine import DEFAULT_LIMITS, EngineLimits, _check_alphabet, regularity_degree
+from quadsemi.engine import DEFAULT_LIMITS, EngineLimits, _check_alphabet
 from quadsemi.model import delta
 
 
@@ -33,19 +33,10 @@ def _generator_count(text: str) -> int:
 def survey_row(n: int, limits: EngineLimits) -> str:
     p = build_regular_qhs(n)
     t0 = time.perf_counter()
-    # the profile goes first: regularity reads the quotient's end that it
-    # records, instead of stepping the quotient again
-    profile = hilbert_profile(p, max_degree=limits.max_degree, limits=limits)
-    reg = regularity_degree(p, limits)
-    if reg.status == "regular":
-        nilp = profile.nilpotency_index
-        total = total_dimension(profile)
-        verdict = f"regular:{reg.degree}"
-    else:
-        nilp = None
-        total = None
-        verdict = f"{reg.status}:{reg.degree}"
+    profile, reg = profile_and_regularity(p, limits)
+    nilp, total = profile.nilpotency_index, total_dimension(profile)
     elapsed = time.perf_counter() - t0
+    verdict = f"{reg.status}:{reg.degree}"
     return (f"{n:>3}  {delta(n):>5}  {verdict:>16}  "
             f"{nilp if nilp is not None else '-':>5}  "
             f"{total if total is not None else '-':>8}  {elapsed:>7.2f}s")

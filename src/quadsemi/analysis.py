@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from .engine import (
     DEFAULT_LIMITS,
     EngineLimits,
-    MinimalBasis,
     ResourceExhausted,
+    _require_qhs,
     initial_basis,
     next_minimal_basis,
+    regularity_degree,
 )
 from .model import IdealMode, Presentation
 
@@ -79,6 +80,17 @@ def hilbert_profile(p: Presentation, max_degree: int | None = None,
         if dims[-1] == 0:
             return HilbertProfile(n, mode, tuple(dims), nilpotency_index=degree)
     return HilbertProfile(n, mode, tuple(dims), truncated_at=cap)
+
+
+def profile_and_regularity(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS) -> tuple:
+    """The FULL Hilbert profile and the regularity of a QHS, both under ``limits``.
+
+    The profile runs first and records where the FULL quotient dies or
+    repeats, so regularity reads that instead of stepping the quotient
+    again; after a profile that ended open or capped, it steps it again.
+    """
+    _require_qhs(p)
+    return hilbert_profile(p, limits=limits), regularity_degree(p, limits)
 
 
 def total_dimension(profile: HilbertProfile) -> int | None:

@@ -17,15 +17,14 @@ import io
 from dataclasses import dataclass
 from itertools import combinations
 
-from .analysis import hilbert_profile
+from .analysis import profile_and_regularity
 from .certificates import (
-    Certificate,
     CertificateKind,
     certificate_is_valid,
     search_certificate,
     verify_witness,
 )
-from .engine import EngineLimits, regularity_degree
+from .engine import EngineLimits
 from .model import (
     Presentation,
     Relation,
@@ -217,15 +216,6 @@ class CensusRecord:
     certificate: str
 
 
-def _regularity_token(p: Presentation, limits: EngineLimits) -> str:
-    result = regularity_degree(p, limits)
-    if result.status == "regular":
-        return f"regular:{result.degree}"
-    if result.status == "irregular_up_to":
-        return f"irregular_up_to:{result.degree}"
-    return "inconclusive"
-
-
 def census_records(n: int, limits: EngineLimits = CENSUS_LIMITS) -> list:
     """One record per QHS on n generators, sorted by content hash.
 
@@ -234,8 +224,8 @@ def census_records(n: int, limits: EngineLimits = CENSUS_LIMITS) -> list:
     """
     records = []
     for p in enumerate_qhs(n):
-        profile = hilbert_profile(p, limits.max_degree, limits=limits)
-        verdict = f"{_regularity_token(p, limits)}/{profile.verdict}"
+        profile, regularity = profile_and_regularity(p, limits)
+        verdict = f"{regularity.verdict}/{profile.verdict}"
         cert = search_certificate(p)
         records.append(
             CensusRecord(

@@ -198,7 +198,8 @@ class RegularityResult:
     the walk; degree is the last fully decided one).  An 'irregular_up_to'
     settled by a repeating full class quotient, without a walk, names the
     degree of the repeat in ``detail``; an 'inconclusive' one names the
-    cap that was hit.
+    cap that was hit.  ``verdict`` is the census token: 'regular:r',
+    'irregular_up_to:d', or 'inconclusive' without a degree.
     """
 
     status: str
@@ -209,6 +210,10 @@ class RegularityResult:
     @property
     def is_regular(self) -> bool:
         return self.status == "regular"
+
+    @property
+    def verdict(self) -> str:
+        return "inconclusive" if self.status == "inconclusive" else f"{self.status}:{self.degree}"
 
 
 class _Rules:
@@ -946,9 +951,7 @@ def regularity_degree(p: Presentation,
     The FULL quotient is stepped first, bounded only by limits.max_classes
     and the degree cap, so a tight max_class_size does not shorten that
     step: tower n=8 at class cap 1 spends about 3 s and 96 MB on it
-    before the walk stops at degree 1.  A Hilbert profile run before
-    leaves the quotient's fate recorded, but after one that ended open
-    or capped the quotient is stepped again from degree 1.
+    before the walk stops at degree 1.
     """
     _require_qhs(p)
     fate = _full_fate(p, limits)

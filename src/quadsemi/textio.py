@@ -62,6 +62,8 @@ def _parse_json(text: str) -> Presentation:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PresentationSyntaxError(f"invalid JSON: {exc}", exc.lineno) from None
+    except ValueError:  # the one other failure: an integer too long to convert
+        raise PresentationSyntaxError("invalid JSON: a number has too many digits") from None
     try:
         return from_json_dict(data)
     except ValueError as exc:
@@ -82,14 +84,14 @@ def _parse_text(text: str) -> Presentation:
                 raise PresentationSyntaxError(
                     "expected a 'generators N' header before any relation", lineno
                 )
-            n = int(m.group(1))
+            n = _number(m.group(1), lineno)
             if n < 1:
                 raise PresentationSyntaxError("generator count must be at least 1", lineno)
             continue
         m = _RELATION_RE.fullmatch(line)
         if m is None:
             raise PresentationSyntaxError(f"malformed relation {line!r}", lineno)
-        letters = [int(g) for g in m.groups() if g is not None]
+        letters = [_number(g, lineno) for g in m.groups() if g is not None]
         for letter in letters:
             if not 1 <= letter <= n:
                 raise PresentationSyntaxError(
@@ -114,6 +116,14 @@ def _parse_text(text: str) -> Presentation:
     return presentation(n, relations)
 
 
+def _number(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise PresentationSyntaxError(f"a {len(digits)}-digit number is too long",
+                                      lineno) from None
+
+
 def render_presentation(p: Presentation) -> str:
     lines = [f"generators {p.n}"]
     lines.extend(str(rel) for rel in p.relations)
@@ -125,7 +135,14 @@ def render_json(p: Presentation) -> str:
 
 
 def load_presentation(path) -> Presentation:
-    return parse_presentation(Path(path).read_text())
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise PresentationSyntaxError(
+            f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}", line) from None
+    return parse_presentation(text)
 
 
 def save_presentation(p: Presentation, path, as_json: bool = False) -> None:

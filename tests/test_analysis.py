@@ -1,15 +1,27 @@
 import pytest
 
+import quadsemi.engine as engine
 from quadsemi.analysis import (
     Dim3Report,
     HilbertProfile,
     dim3_report,
     hilbert_profile,
+    profile_and_regularity,
     profile_to_json,
     total_dimension,
 )
-from quadsemi.engine import EngineLimits, ResourceExhausted, coset_class, iter_class
+from quadsemi.engine import (
+    EngineLimits,
+    RegularityResult,
+    ResourceExhausted,
+    coset_class,
+    iter_class,
+    regularity_degree,
+)
 from quadsemi.model import IdealMode, Relation, presentation
+from quadsemi.textio import parse_presentation
+
+from test_acceptance import CENSUS_OPEN
 
 FREE2 = presentation(2, [])
 COMMUTE2 = presentation(2, [Relation.equal((2, 1), (1, 2))])
@@ -109,6 +121,48 @@ class TestProfiles:
                 assert b <= n * a
 
 
+class TestProfileAndRegularity:
+    def test_answers_equal_the_separate_calls(self, m2, tower5):
+        for p, limits in ((m2, EngineLimits()), (tower5, EngineLimits(max_degree=6)),
+                          (tower5, EngineLimits(max_class_size=1, max_degree=12))):
+            engine._rules.cache_clear()
+            profile, regularity = profile_and_regularity(p, limits)
+            engine._rules.cache_clear()
+            assert profile == hilbert_profile(p, limits=limits)
+            engine._rules.cache_clear()
+            assert regularity == regularity_degree(p, limits)
+
+    def test_a_non_qhs_is_refused_before_any_quotient_step(self, monkeypatch):
+        def no_step(*_args):
+            raise AssertionError("the class quotient was stepped")
+
+        monkeypatch.setattr(engine, "_quotient_step", no_step)
+        with pytest.raises(ValueError, match="valid QHS presentations only"):
+            profile_and_regularity(FREE2)
+
+    def test_one_quotient_chain(self, monkeypatch, tower5):
+        # regularity reads the end of the quotient that the profile's chain
+        # recorded, so the pair steps as often as the profile alone: tower 5
+        # dies at degree 11, and CENSUS_OPEN repeats at 8 but its profile
+        # runs on to the cap
+        steps = []
+        step = engine._quotient_step
+
+        def counted(*args):
+            steps.append(args[0].degree + 1)
+            return step(*args)
+
+        monkeypatch.setattr(engine, "_quotient_step", counted)
+        limits = EngineLimits(max_degree=12)
+        for p, count in ((tower5, 10), (parse_presentation(CENSUS_OPEN), 11)):
+            for run in (lambda: hilbert_profile(p, limits=limits),
+                        lambda: profile_and_regularity(p, limits)):
+                engine._rules.cache_clear()
+                steps.clear()
+                run()
+                assert len(steps) == count, p
+
+
 class TestDim3:
     def test_m1(self, m1):
         report = dim3_report(m1)
@@ -152,3 +206,9 @@ class TestExports:
     def test_verdict_strings(self):
         assert HilbertProfile(2, IdealMode.FULL, (1,), truncated_at=0).verdict == "open:0"
         assert HilbertProfile(2, IdealMode.FULL, (1, 2), exhausted=2).verdict == "inconclusive:2"
+
+    def test_regularity_verdict_strings(self):
+        # the census token: an inconclusive answer carries no degree
+        assert RegularityResult("regular", 4, 5).verdict == "regular:4"
+        assert RegularityResult("irregular_up_to", 12).verdict == "irregular_up_to:12"
+        assert RegularityResult("inconclusive", 3, None, "cap").verdict == "inconclusive"

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import quadsemi.engine as engine
-from quadsemi.analysis import hilbert_profile
+from quadsemi.analysis import hilbert_profile, profile_and_regularity
 from quadsemi.census import (
     CENSUS_LIMITS,
     census_csv,
@@ -73,6 +73,18 @@ class TestQhsEnumeration:
         for i, p in enumerate(ranked):
             profile = hilbert_profile(p, limits.max_degree, limits=limits)
             assert profile.verdict == expected[i], (i, p)
+
+    def test_every_97th_n5_verdict_matches_table(self):
+        # both halves of the census verdict, from the call the census makes
+        ranked, _hilbert = _n5_hilbert_table()
+        table = _n5_verdicts()
+        rows = range(0, len(ranked), 97)
+        irregular = 0
+        for i in rows:
+            profile, regularity = profile_and_regularity(ranked[i], CENSUS_LIMITS)
+            assert f"{regularity.verdict}/{profile.verdict}" == table[i], (i, ranked[i])
+            irregular += regularity.verdict == "irregular_up_to:12"
+        assert (len(rows), irregular) == (388, 2)
 
     def test_n5_nilpotency_within_one_of_regularity(self):
         # a degree r with no singular words makes the algebra nilpotent of

@@ -80,6 +80,18 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, data, where", [
+        ("long.txt", b"generators 2\nx" + b"9" * 5000 + b"*x1 = 0\n", "line 2: "),
+        ("long.json", b'{"n": ' + b"9" * 5000 + b', "relations": []}', "invalid JSON: "),
+        ("latin1.txt", b"generators 2\nx2*x1 = 0 # caf\xe9\n", "line 2: not UTF-8"),
+    ], ids=["long-text", "long-json", "latin1"])
+    def test_unreadable_input_names_the_file(self, tmp_path, capsys, name, data, where):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {where}") and len(err.splitlines()) == 1
+
 
 class TestBuildExtend:
     def test_build_text(self, capsys):

@@ -1,5 +1,6 @@
 """Smoke tests for the experiment scripts under ``scripts/``."""
 
+import hashlib
 import json
 import os
 import re
@@ -131,3 +132,14 @@ def test_capped_answers_writes_and_compares(tmp_path):
     old.write_text(json.dumps(data))
     assert "more conclusive" in compare_with(profile, "finite:11", 0)
     assert "more conclusive" in compare_with(profile, "inconclusive:8", 0)
+
+
+def test_capped_answers_are_frozen(tmp_path):
+    # the default answer set (every QHS with n <= 4, towers 5 and 6, every
+    # 97th n = 5 QHS) pinned by the digest of the file ``write`` makes; a
+    # change of spec updates the digest and lists the answers that moved
+    out = tmp_path / "answers.json"
+    assert _run_script("capped_answers.py", "write", str(out)).startswith(
+        "11804 answers written")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ec26bcb3d3f80311878eae97d212591efc5b31cb5855dd4d19ff4bac272c6e7e")

@@ -127,6 +127,20 @@ def test_json_booleans_are_not_generator_indices(text):
         parse_presentation(text)
 
 
+TOO_LONG = "9" * 5000  # past int()'s default 4300-digit limit
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"generators {TOO_LONG}\n", 1),
+    (f"generators 3\nx1*x1 = 0\nx{TOO_LONG}*x1 = 0\n", 3),
+    (f'{{"n": {TOO_LONG}, "relations": []}}', None),
+], ids=["header", "letter", "json"])
+def test_an_over_long_number_is_a_syntax_error(text, line):
+    with pytest.raises(PresentationSyntaxError, match="too") as err:
+        parse_presentation(text)
+    assert err.value.line == line
+
+
 def test_whitespace_tolerance():
     p = parse_presentation("generators  3\n x3*x3   =  x2*x1 \nx3*x2=x1*x1\nx2*x2=0\nx3*x1 = 0")
     assert p == presentation(3, [
@@ -160,6 +174,14 @@ def test_save_and_load(tmp_path, m4):
     assert load_presentation(text_path) == m4
     assert load_presentation(json_path) == m4
     assert json_path.read_text().lstrip().startswith("{")
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("generators 2\n# caf\u00e9\nx2*x1 = 0\n".encode("latin-1"))
+    with pytest.raises(PresentationSyntaxError, match="not UTF-8: byte 0xe9") as err:
+        load_presentation(path)
+    assert err.value.line == 2
 
 
 class TestParseMemo:
