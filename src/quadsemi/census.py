@@ -24,10 +24,12 @@ from .certificates import (
     search_certificate,
     verify_witness,
 )
+from .constructions import wisliceny_count
 from .engine import EngineLimits
 from .model import (
     Presentation,
     Relation,
+    delta,
     is_pure,
     presentation,
     presentation_hash,
@@ -124,10 +126,9 @@ class PureBoundReport:
 def pure_bound_check(n: int) -> PureBoundReport:
     """Exhaustively confirm the all-pure relation-count lower bound.
 
-    The bound is (n^2 + 2n) / 4 rounded up; the report carries the minimum
+    The bound is ``wisliceny_count(n)``; the report carries the minimum
     size actually achieved so callers can see whether it is sharp.
     """
-    bound = -((n * n + 2 * n) // -4)
     qhs_count = 0
     pure_count = 0
     min_size: int | None = None
@@ -138,7 +139,7 @@ def pure_bound_check(n: int) -> PureBoundReport:
             d = len(p.relations)
             if min_size is None or d < min_size:
                 min_size = d
-    return PureBoundReport(n, bound, qhs_count, pure_count, min_size)
+    return PureBoundReport(n, wisliceny_count(n), qhs_count, pure_count, min_size)
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ class SweepReport:
 
 def certificate_sweep(n: int, verify_k: int | None = None) -> SweepReport:
     """Run the certificate search over every presentation under the bound."""
-    d_max = (n * n + n) // 4
+    d_max = delta(n) - 1
     total = 0
     kinds = {CertificateKind.SE_PAIR: 0, CertificateKind.ZERO_SUM: 0}
     uncertified = 0

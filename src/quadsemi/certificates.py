@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .engine import DEFAULT_LIMITS, EngineLimits, coset_class
-from .model import IdealMode, Presentation
+from .model import IdealMode, Presentation, delta
 
 
 class CertificateKind(Enum):
@@ -67,14 +67,14 @@ def check_zero_sum(p: Presentation) -> bool:
 def search_certificate(p: Presentation) -> Certificate:
     """Try the stable-pair scan, then the zero-sum check.
 
-    With d relations on n generators, 4d <= n^2 + n guarantees one of the
-    two certificates exists; above that bound the search still runs but
-    may come back empty.  The transcript records the comparison and each
-    check's outcome in order.
+    With d relations on n generators, d < delta(n), that is
+    d <= (n^2 + n) / 4, guarantees one of the two certificates exists;
+    above that bound the search still runs but may come back empty.  The
+    transcript records the comparison and each check's outcome in order.
     """
     n = p.alphabet.n
     d = len(p.relations)
-    guaranteed = 4 * d <= n * n + n
+    guaranteed = d < delta(n)
     lines = [
         "relations: {}, guarantee threshold (n^2+n)/4 = {}: {}".format(
             d, (n * n + n) / 4, "within" if guaranteed else "above"

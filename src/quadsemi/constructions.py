@@ -125,13 +125,11 @@ def build_regular_qhs(n: int) -> Presentation:
 def witness_power(n: int) -> int:
     """Power q such that the class of x1^q reaches the top letter x_n.
 
-    Defined for the tower presentations with n >= 5; the even and odd
-    cases differ by how the last extension's letters interleave.
+    Defined for the tower presentations with n >= 5: floor((5n - 8) / 2),
+    which is (5n - 8) / 2 for even n and (5n - 9) / 2 for odd n.
     """
     if n < 5:
         raise ValueError("witness powers are defined for n >= 5")
-    if n % 2:
-        return (5 * n - 9) // 2
     return (5 * n - 8) // 2
 
 
@@ -158,11 +156,9 @@ def power_witness(p: Presentation, q: int | None = None,
 def wisliceny_count(n: int) -> int:
     """Relation count of the classical pure construction on n generators.
 
-    Evaluates to (n^2 + 2n) / 4 rounded up, the proven minimum for QHS
-    presentations all of whose generators are pure.
+    Wisliceny's bound: (n^2 + 2n) / 4 rounded up, the proven minimum for
+    QHS presentations all of whose generators are pure.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n % 2 == 0:
-        return (n * n + 2 * n) // 4
-    return (n * n + 2 * n + 1) // 4
+    return -(-(n * n + 2 * n) // 4)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -90,7 +91,7 @@ def _check_pair(p, label: str) -> None:
         or len(p) != 2
         or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in p)
     ):
-        raise ValueError(f"{label} must be a pair of positive generator indices, got {p!r}")
+        raise ValueError(f"{label} must be a pair of positive generator indices, got {reprlib.repr(p)}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class Alphabet:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"alphabet needs at least one generator, got n={self.n!r}")
+            raise ValueError(f"alphabet needs at least one generator, got n={reprlib.repr(self.n)}")
 
     def letters(self) -> range:
         return range(1, self.n + 1)
@@ -351,19 +352,13 @@ def opposite(p: Presentation) -> Presentation:
 def delta(n: int) -> int:
     """Minimal size of a QHS on n ordered generators.
 
-    Piecewise quadratic in j = (n - 1) // 4 and equal to
-    floor((n*n + n) / 4) + 1 for every n >= 1.
+    The first integer greater than (n^2 + n) / 4: every presentation with
+    at most (n^2 + n) / 4 relations is infinite dimensional, and a finite
+    QHS on n generators exists with exactly this many.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"generator count must be a positive integer, got {n!r}")
-    j, r = divmod(n - 1, 4)
-    if r == 0:
-        return 4 * j * j + 3 * j + 1
-    if r == 1:
-        return 4 * j * j + 5 * j + 2
-    if r == 2:
-        return 4 * j * j + 7 * j + 4
-    return 4 * j * j + 9 * j + 6
+    return (n * n + n) // 4 + 1
 
 
 def qhs_cardinality_bounds(n: int) -> tuple[int, int]:

@@ -38,9 +38,10 @@ class PresentationSyntaxError(ValueError):
         super().__init__(prefix + message)
 
 
-_HEADER_RE = re.compile(r"generators\s+(\d+)\s*$")
+# ASCII: a bare \d also matches other scripts' digits, such as "٣" for 3
+_HEADER_RE = re.compile(r"generators\s+(\d+)\s*$", re.ASCII)
 _RELATION_RE = re.compile(
-    r"x(\d+)\s*\*\s*x(\d+)\s*=\s*(?:0|x(\d+)\s*\*\s*x(\d+))\s*$"
+    r"x(\d+)\s*\*\s*x(\d+)\s*=\s*(?:0|x(\d+)\s*\*\s*x(\d+))\s*$", re.ASCII
 )
 
 

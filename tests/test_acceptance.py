@@ -127,20 +127,10 @@ def test_criterion_04c_tower7_best_effort():
 
 @pytest.mark.slow
 def test_criterion_04d_tower8_best_effort():
-    # the full search is out of desk range; walk degrees against the frozen
-    # baseline until a 45 s budget runs out and record how far that got
-    budget = 45.0
-    start = time.perf_counter()
-    sizes = []
-    for degree, words in iter_singular_sets(build_regular_qhs(8), EngineLimits(max_degree=64)):
-        sizes.append(len(words))
-        if not words:
-            break
-        if time.perf_counter() - start > budget:
-            break
-    assert len(sizes) >= 5, "budget too tight to reach degree 5"
-    checkable = min(len(sizes), len(N8_SINGULAR_SIZES))
-    assert tuple(sizes[:checkable]) == N8_SINGULAR_SIZES[:checkable]
+    # the full search is out of desk range; a degree cap, not a clock, sets
+    # how far the walk goes, so every host checks the same 11 degrees
+    chain = iter_singular_sets(build_regular_qhs(8), EngineLimits(max_degree=11))
+    assert tuple(len(words) for _d, words in chain) == N8_SINGULAR_SIZES[:11]
 
 
 def test_criterion_04e_singular_set_sizes():

@@ -217,6 +217,13 @@ class TestCertificateSweep:
         assert report.invalid == 0
         assert report.all_certified
 
+    def test_d_max_is_the_threshold(self):
+        # floor((n^2 + n) / 4), the largest d the guarantee covers; the two
+        # tests above pin n = 2 and 3 as 1 and 3
+        report = certificate_sweep(1)
+        assert report.d_max == (1 * 1 + 1) // 4 == 0
+        assert report.total == 1 and report.all_certified
+
 
 class TestCensus:
     def test_n2_records(self):

@@ -82,6 +82,13 @@ class TestSearch:
         p3 = presentation(3, [Relation.zero(1, 1), Relation.zero(2, 1), Relation.zero(2, 2)])
         assert "within" in search_certificate(p3).transcript[0]
         assert search_certificate(p3).found
+        # the first k zero monomials, k = floor((n^2 + n) / 4) and one more
+        for n in range(1, 31):
+            monomials = [Relation.zero(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+            k = (n * n + n) // 4
+            within = search_certificate(presentation(n, monomials[:k])).transcript[0]
+            above = search_certificate(presentation(n, monomials[:k + 1])).transcript[0]
+            assert within.endswith(": within") and above.endswith(": above"), n
 
 
 class TestValidation:

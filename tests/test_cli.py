@@ -84,13 +84,17 @@ class TestValidate:
         ("long.txt", b"generators 2\nx" + b"9" * 5000 + b"*x1 = 0\n", "line 2: "),
         ("long.json", b'{"n": ' + b"9" * 5000 + b', "relations": []}', "invalid JSON: "),
         ("latin1.txt", b"generators 2\nx2*x1 = 0 # caf\xe9\n", "line 2: not UTF-8"),
-    ], ids=["long-text", "long-json", "latin1"])
+        ("n.json", b'{"n": "' + b"9" * 5000 + b'", "relations": []}', "alphabet needs"),
+        ("letter.json", b'{"n": 2, "relations": [{"zero": ["' + b"9" * 5000 + b'", 1]}]}',
+         "left monomial"),
+    ], ids=["long-text", "long-json", "latin1", "long-string-n", "long-string-letter"])
     def test_unreadable_input_names_the_file(self, tmp_path, capsys, name, data, where):
         path = tmp_path / name
         path.write_bytes(data)
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {where}") and len(err.splitlines()) == 1
+        assert len(err) < len(f"error: {path}: ") + 120
 
 
 class TestBuildExtend:
@@ -553,6 +557,26 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             main(["--max-class-size", "0", "enumerate", "--n", "2", "--count"])
         assert err.value.code == 1
+
+
+class TestRuntimeFailures:
+    """main's answer when a handler's callee fails mid-run."""
+
+    @staticmethod
+    def _raise(exc):
+        def raiser(*args):
+            raise exc
+        return raiser
+
+    def test_out_of_memory_is_inconclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr("quadsemi.cli.delta", self._raise(MemoryError()))
+        assert main(["delta-table", "--max-n", "3"]) == 2
+        assert capsys.readouterr().err == "inconclusive: out of memory\n"
+
+    def test_a_closed_stdout_is_not_an_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("quadsemi.cli.delta", self._raise(BrokenPipeError()))
+        assert main(["delta-table", "--max-n", "3"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestParserReuse:

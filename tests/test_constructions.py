@@ -125,6 +125,8 @@ class TestWitness:
         assert witness_power(5) == 8
         assert witness_power(6) == 11
         assert witness_power(7) == 13
+        for n in range(5, 10_001):
+            assert witness_power(n) == ((5 * n - 9) // 2 if n % 2 else (5 * n - 8) // 2)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -159,8 +161,10 @@ class TestWisliceny:
         assert wisliceny_count(6) == 12
 
     def test_is_ceiling_of_quarter(self):
-        for n in range(1, 50):
-            assert wisliceny_count(n) == -((n * n + 2 * n) // -4)
+        # the reference: the ceiling taken by parity
+        for n in range(1, 10_001):
+            by_parity = (n * n + 2 * n) // 4 if n % 2 == 0 else (n * n + 2 * n + 1) // 4
+            assert wisliceny_count(n) == by_parity
 
     def test_exceeds_delta_from_five_on(self):
         assert wisliceny_count(4) == delta(4)

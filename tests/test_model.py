@@ -250,6 +250,18 @@ class TestStripTop:
             strip_top(presentation(2, [Relation.zero(1, 1)]))
 
 
+def _delta_by_residue(n):
+    """delta(n) as a piecewise quadratic in j = (n - 1) // 4, the reference."""
+    j, r = divmod(n - 1, 4)
+    if r == 0:
+        return 4 * j * j + 3 * j + 1
+    if r == 1:
+        return 4 * j * j + 5 * j + 2
+    if r == 2:
+        return 4 * j * j + 7 * j + 4
+    return 4 * j * j + 9 * j + 6
+
+
 class TestDelta:
     def test_spot_values(self):
         assert delta(1) == 1
@@ -263,8 +275,8 @@ class TestDelta:
         assert delta(9) == 23
 
     def test_matches_closed_form(self):
-        for n in range(1, 500):
-            assert delta(n) == (n * n + n) // 4 + 1
+        for n in range(1, 10_001):
+            assert delta(n) == _delta_by_residue(n)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -141,6 +141,27 @@ def test_an_over_long_number_is_a_syntax_error(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text", [
+    f'{{"n": "{TOO_LONG}", "relations": []}}',
+    f'{{"n": 2, "relations": [{{"zero": ["{TOO_LONG}", 1]}}]}}',
+], ids=["n", "letter"])
+def test_a_long_bad_value_is_abbreviated_in_the_error(text):
+    with pytest.raises(PresentationSyntaxError, match=r"got .*\.\.\.") as err:
+        parse_presentation(text)
+    assert len(str(err.value)) < 120
+
+
+@pytest.mark.parametrize("text, line", [
+    ("generators \u0663\n", 1),
+    ("generators 3\nx\u0661*x\u0661 = 0\n", 2),
+], ids=["header", "letter"])
+def test_non_ascii_digits_are_a_syntax_error(text, line):
+    # U+0663 and U+0661 are the Arabic-Indic digits three and one
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation(text)
+    assert err.value.line == line
+
+
 def test_whitespace_tolerance():
     p = parse_presentation("generators  3\n x3*x3   =  x2*x1 \nx3*x2=x1*x1\nx2*x2=0\nx3*x1 = 0")
     assert p == presentation(3, [
