@@ -7,7 +7,7 @@ every 97th n = 5 QHS, then both again on each at max_classes 2, 5 and 30
 (max_class_size 1000), and ``power_witness`` on each tower at the same
 class-size caps and at the default cap.  The width-cap runs of a
 presentation follow its class-size-cap runs in the same process, so they
-read the quotient's end that those runs recorded; a width-cap answer is
+read the quotient chain that those runs stepped; a width-cap answer is
 keyed ``@wN``.  It writes the answers as JSON, each with its
 ``detail`` (for a capped run, the word or degree where it stopped).  A
 profile answer is its verdict: ``finite:N``, ``open:12`` or

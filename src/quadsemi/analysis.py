@@ -15,9 +15,8 @@ from .engine import (
     DEFAULT_LIMITS,
     EngineLimits,
     ResourceExhausted,
+    _chain,
     _require_qhs,
-    initial_basis,
-    next_minimal_basis,
     regularity_degree,
 )
 from .model import IdealMode, Presentation
@@ -63,31 +62,23 @@ def hilbert_profile(p: Presentation, max_degree: int | None = None,
     if cap < 0:
         raise ValueError("max_degree must be nonnegative")
     n = p.alphabet.n
-    dims = [1]
     if cap == 0:
         return HilbertProfile(n, mode, (1,), truncated_at=0)
-    basis = initial_basis(p, mode)
-    dims.append(len(basis.minimals))
-    degree = 1
-    while degree < cap:
-        try:
-            basis = next_minimal_basis(basis, p, mode, limits)
-        except ResourceExhausted as exc:
-            return HilbertProfile(n, mode, tuple(dims), exhausted=degree + 1,
-                                  detail=str(exc))
-        degree += 1
-        dims.append(len(basis.minimals))
-        if dims[-1] == 0:
-            return HilbertProfile(n, mode, tuple(dims), nilpotency_index=degree)
-    return HilbertProfile(n, mode, tuple(dims), truncated_at=cap)
+    dims, _end, exc = _chain(p, mode, cap, limits.max_classes)
+    if exc is not None:
+        return HilbertProfile(n, mode, dims, exhausted=exc.degree, detail=str(exc))
+    if not dims[-1]:
+        return HilbertProfile(n, mode, dims, nilpotency_index=len(dims) - 1)
+    # every degree past a repeat has the repeat's count
+    return HilbertProfile(n, mode, dims + dims[-1:] * (cap + 1 - len(dims)), truncated_at=cap)
 
 
 def profile_and_regularity(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS) -> tuple:
     """The FULL Hilbert profile and the regularity of a QHS, both under ``limits``.
 
-    The profile runs first and records where the FULL quotient dies or
-    repeats, so regularity reads that instead of stepping the quotient
-    again; after a profile that ended open or capped, it steps it again.
+    Both read the one chain of the FULL class quotient: the profile steps
+    it to the degree cap or its end, and regularity reads its end from
+    there, stepping at most the one degree past the cap.
     """
     _require_qhs(p)
     return hilbert_profile(p, limits=limits), regularity_degree(p, limits)

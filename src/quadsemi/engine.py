@@ -69,13 +69,14 @@ words ride along but feed nothing back.  So when a degree's blocks equal
 the ones they were built from (zero slots past the last nonzero one aside)
 and the degree still has classes, every later degree repeats them, and the
 algebra is infinite-dimensional.  That repeat, or the degree where no class
-is left, is a fact about the presentation; ``_quotient_step`` records it
-once on the ``_Rules`` it was given, and a call reads it only where a fresh
-chain under its own caps would reach it, so every engine answer is a
-function of its arguments.  A repeating FULL quotient settles regularity:
-a degree with no singular words would make the algebra nilpotent of index
-at most one more than that degree, so an infinite algebra has singular
-words in every degree and ``regularity_degree`` need not walk them.
+is left, is the quotient's end.  ``_chain`` steps one chain per
+presentation and mode, each degree once for every caller and never past
+the end, and a call reads it only as far as a fresh chain under its own
+caps would reach, so every engine answer is a function of its arguments.
+A repeating FULL quotient settles regularity: a degree with no singular
+words would make the algebra nilpotent of index at most one more than that
+degree, so an infinite algebra has singular words in every degree and
+``regularity_degree`` need not walk them.
 
 Resource caps never silently change an answer, and each bounds one
 structure.  max_class_size bounds the words one class walk visits
@@ -176,8 +177,7 @@ class MinimalBasis:
     the id of the block's class, or -1 when the block is zero.  Slot
     d*(n+1), which no letter fills, always holds -1: the next step's zero
     monomials read it to reach their zero sink.  ``_rules`` holds the
-    presentation and mode they were built under, and ``_widest`` the most
-    classes of any degree from 2 up to this one.  Which minimal words are
+    presentation and mode they were built under.  Which minimal words are
     singular is answered by ``iter_singular_sets``.
     """
 
@@ -185,7 +185,6 @@ class MinimalBasis:
     minimals: tuple
     _rules: _Rules | None = field(default=None, compare=False, repr=False)
     _blocks: list | None = field(default=None, compare=False, repr=False)
-    _widest: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -229,19 +228,21 @@ class _Rules:
     quotient reads the same facts by first letter: joins[a] lists a triple
     (b, r0, r1) for each swap a b -> r0 r1, then (b, 0, 0) for each zero
     monomial a b: slot d*(n+1) + 0 of a blocks list is always zero, so such
-    a triple joins its block to the quotient's zero sink.  ``fate`` is None
-    until a chain stepped from degree 1 meets the quotient's end: ("dies",
-    m, widest) when degree m has no class, or ("repeats", m, widest) when
-    degree m's blocks equal degree m-1's, with widest the most classes of
-    any degree 2..m-1.
+    a triple joins its block to the quotient's zero sink.  ``_chain``
+    alone writes the quotient's chain: ``counts`` of the degrees stepped, the
+    ``end`` once met, and the ``frontier`` basis of the last degree, or None,
+    kept without its ``_rules`` so that no cycle outlives the cache entry.
     """
 
-    __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins", "fate")
+    __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
+                 "counts", "end", "frontier")
 
     def __init__(self, n, swap, zeros):
         self.n = n
         self.k = k = n.bit_length()
-        self.fate = None
+        self.counts = [1, n]
+        self.end = None
+        self.frontier = None
         swaps = [None] * (1 << 2 * k)
         for (a, b), reps in swap.items():
             swaps[a | b << k] = tuple(r0 - a + (r1 - b << k) for r0, r1 in reps)
@@ -762,9 +763,7 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
     its root.  Class ids go straight into the new blocks list, where a
     root's own slot holds its class's id.  ResourceExhausted when the new
     degree has more than ``width`` classes; the step walks no word, so no
-    class-size cap bounds it.  The first new degree with no class, or with
-    the same blocks as ``basis``, goes into ``rules.fate`` with
-    ``basis._widest`` before the width cap is checked.
+    class-size cap bounds it.
     """
     w = rules.n + 1
     joins = rules.joins
@@ -797,9 +796,7 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
     for x in range(count * w):
         parent[x] = parent[parent[x]]
     # scanning slots by last letter, then by class, meets each class first
-    # at its minimum and the classes in rtl order of their minima; a
-    # degree with more classes than the one below neither dies nor repeats
-    limit = max(width, count)
+    # at its minimum and the classes in rtl order of their minima
     new_min = []
     new_blocks = [-1] * (count * w)
     degree = basis.degree + 1
@@ -814,19 +811,11 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
             k = new_blocks[r]
             if k < 0:
                 k = new_blocks[r] = len(new_min)
-                if k == limit:
+                if k == width:
                     raise _too_wide(degree, width)
                 new_min.append(minimals[c] + letter)
             new_blocks[u] = k
-    widest = basis._widest
-    if rules.fate is None:
-        if not new_min:
-            rules.fate = ("dies", degree, widest)
-        elif len(new_min) == count and _same_blocks(new_blocks, blocks):
-            rules.fate = ("repeats", degree, widest)
-    if len(new_min) > width:
-        raise _too_wide(degree, width)
-    return MinimalBasis(degree, tuple(new_min), rules, new_blocks, max(widest, len(new_min)))
+    return MinimalBasis(degree, tuple(new_min), rules, new_blocks)
 
 
 def next_minimal_basis(basis: MinimalBasis, p: Presentation,
@@ -848,6 +837,48 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
             start = _quotient_step(start, rules, limits.max_classes)
         basis = start
     return _quotient_step(basis, rules, limits.max_classes)
+
+
+# Most classes of a frontier kept between calls: this bounds what the _rules
+# cache holds, and a deeper call on a chain that kept none steps from degree 1
+_FRONTIER_CLASSES = 4096
+
+
+def _chain(p: Presentation, mode: IdealMode, upto: int, width: int):
+    """(counts, end, exc): what a fresh quotient chain under ``width`` sees up to degree ``upto``.
+
+    counts[m] is degree m's class count, from counts[0] = 1 up to ``upto``,
+    the quotient's death, or the degree below the first one past 1 with
+    more than ``width`` classes, for which exc is the ResourceExhausted.
+    end is ("dies", m) or ("repeats", m) when the quotient ends at m <= upto
+    with no degree 2..m-1 too wide; past a repeat every degree has counts[m]
+    classes.  Each degree is stepped once for all callers, through
+    ``next_minimal_basis`` under a cap of at least the classes below, so a
+    degree 2 that repeats a too wide degree 1 is still met as the end.
+    """
+    rules = _rules(p, mode)
+    counts = rules.counts
+    wide = next((m for m in range(2, min(upto + 1, len(counts))) if counts[m] > width), None)
+    if not (wide or rules.end) and len(counts) <= upto:
+        cap = EngineLimits(max_classes=max(width, counts[1]))
+        basis = replace(rules.frontier, _rules=rules) if rules.frontier else initial_basis(p, mode)
+        try:
+            while not (wide or rules.end or basis.degree == upto):
+                below, basis = basis, next_minimal_basis(basis, p, mode, cap)
+                if basis.degree < len(counts):
+                    continue  # stepping again up to a dropped frontier
+                counts.append(len(basis.minimals))
+                if not counts[-1]:
+                    rules.end = ("dies", basis.degree)
+                elif counts[-1] == counts[-2] and _same_blocks(basis._blocks, below._blocks):
+                    rules.end = ("repeats", basis.degree)
+                wide = basis.degree if counts[-1] > width else None
+        except ResourceExhausted:
+            wide = len(counts)
+        keep = not rules.end and len(basis.minimals) <= _FRONTIER_CLASSES
+        rules.frontier = replace(basis, _rules=None) if keep else None
+    end = rules.end if rules.end and rules.end[1] <= min(upto, wide or upto) else None
+    return tuple(counts[:wide or upto + 1]), end, wide and _too_wide(wide, width)
 
 
 def _require_qhs(p: Presentation) -> None:
@@ -915,28 +946,6 @@ def singular_monomials(p: Presentation, m: int,
     return ()
 
 
-def _full_fate(p: Presentation, limits: EngineLimits):
-    """The FULL quotient's fate (kind, m) if a fresh chain under ``limits`` meets it, else None.
-
-    Steps a chain from degree 1 while no fate is recorded, up to degree
-    limits.max_degree + 1.  A fresh chain meets the fate exactly when m is
-    at most limits.max_degree + 1 and no degree 2..m-1 has more than
-    limits.max_classes classes: degree 1 is never checked, and degree m is
-    empty or as wide as degree m-1.
-    """
-    rules = _rules(p, IdealMode.FULL)
-    if rules.fate is None:
-        basis = initial_basis(p)
-        try:
-            while rules.fate is None and basis.degree <= limits.max_degree:
-                basis = _quotient_step(basis, rules, limits.max_classes)
-        except ResourceExhausted:
-            pass
-    fate = rules.fate
-    reached = fate and fate[1] <= limits.max_degree + 1 and fate[2] <= limits.max_classes
-    return fate[:2] if reached else None
-
-
 def regularity_degree(p: Presentation,
                       limits: EngineLimits = DEFAULT_LIMITS) -> RegularityResult:
     """Search for the first degree with no singular words.
@@ -948,17 +957,17 @@ def regularity_degree(p: Presentation,
     a singular set.  Otherwise the singular sets are walked degree by
     degree.  Requires a valid QHS.
 
-    The FULL quotient is stepped first, bounded only by limits.max_classes
-    and the degree cap, so a tight max_class_size does not shorten that
-    step: tower n=8 at class cap 1 spends about 3 s and 96 MB on it
-    before the walk stops at degree 1.
+    The FULL quotient's chain is read first, up to degree max_degree + 1
+    (after a FULL profile to the cap that steps that one degree), bounded
+    only by max_classes: on a fresh chain, tower n=8 at class cap 1 spends
+    about 3 s and 96 MB on it before the walk stops at degree 1.
     """
     _require_qhs(p)
-    fate = _full_fate(p, limits)
-    if fate is not None and fate[0] == "repeats":
+    end = _chain(p, IdealMode.FULL, limits.max_degree + 1, limits.max_classes)[1]
+    if end is not None and end[0] == "repeats":
         return RegularityResult(
             "irregular_up_to", limits.max_degree, None,
-            f"full class quotient repeats at degree {fate[1]}: "
+            f"full class quotient repeats at degree {end[1]}: "
             "the algebra is infinite, with singular words in every degree")
     last = 0
     try:

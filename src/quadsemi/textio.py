@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -43,6 +44,8 @@ _HEADER_RE = re.compile(r"generators\s+(\d+)\s*$", re.ASCII)
 _RELATION_RE = re.compile(
     r"x(\d+)\s*\*\s*x(\d+)\s*=\s*(?:0|x(\d+)\s*\*\s*x(\d+))\s*$", re.ASCII
 )
+# longest quoted relation line an error echoes in full
+_ECHO_CHARS = 80
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -64,7 +67,10 @@ def _parse_json(text: str) -> Presentation:
     except json.JSONDecodeError as exc:
         raise PresentationSyntaxError(f"invalid JSON: {exc}", exc.lineno) from None
     except ValueError:  # the one other failure: an integer too long to convert
-        raise PresentationSyntaxError("invalid JSON: a number has too many digits") from None
+        run = re.search("[0-9]{%d,}" % (sys.get_int_max_str_digits() + 1), text)
+        raise PresentationSyntaxError(
+            f"invalid JSON: a {len(run.group())}-digit number is too long",
+            text.count("\n", 0, run.start()) + 1) from None
     try:
         return from_json_dict(data)
     except ValueError as exc:
@@ -91,7 +97,10 @@ def _parse_text(text: str) -> Presentation:
             continue
         m = _RELATION_RE.fullmatch(line)
         if m is None:
-            raise PresentationSyntaxError(f"malformed relation {line!r}", lineno)
+            echo = repr(line)
+            if len(echo) > _ECHO_CHARS:
+                echo = f"{echo[:_ECHO_CHARS]}... ({len(line)} characters)"
+            raise PresentationSyntaxError(f"malformed relation {echo}", lineno)
         letters = [_number(g, lineno) for g in m.groups() if g is not None]
         for letter in letters:
             if not 1 <= letter <= n:

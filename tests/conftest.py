@@ -5,9 +5,12 @@ from quadsemi import base_qhs, build_regular_qhs, engine, textio
 
 @pytest.fixture(autouse=True)
 def _fresh_memos():
-    """Start every test with an empty parse memo and no recorded quotient
-    fates, so that no test depends on texts an earlier test parsed or on
-    quotients an earlier test stepped."""
+    """Start and end every test with an empty parse memo and no quotient
+    chains, so that no test, here or in another suite, depends on texts an
+    earlier test parsed or on quotients an earlier test stepped."""
+    textio._parse_once.cache_clear()
+    engine._rules.cache_clear()
+    yield
     textio._parse_once.cache_clear()
     engine._rules.cache_clear()
 

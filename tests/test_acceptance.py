@@ -59,6 +59,19 @@ x5*x5 = x3*x2
 CENSUS_OPEN_SINGULAR_SIZES = (4, 10, 15, 12) + (10,) * 8
 
 
+def assert_gs_lower_bound(p, profile):
+    """Check a_k >= n*a_(k-1) - d*a_(k-2) along a FULL profile of p, d its relation count.
+
+    This is the Golod-Shafarevich lower bound: degree k of a quadratic
+    algebra is degree k-1 times the n letters, modulo the images of the d
+    relations times degree k-2.
+    """
+    assert profile.mode is IdealMode.FULL
+    n, d, a = p.alphabet.n, len(p.relations), profile.dims
+    for k in range(2, len(a)):
+        assert a[k] >= n * a[k - 1] - d * a[k - 2], (p, k, a)
+
+
 def test_criterion_01_delta_arithmetic():
     start = time.perf_counter()
     for n in range(1, 10_001):
@@ -95,6 +108,7 @@ def test_criterion_04a_tower5_finite():
     assert result.degree == N5_REGULARITY
     profile = hilbert_profile(p, max_degree=40)
     assert profile.dims == N5_DIMS
+    assert_gs_lower_bound(p, profile)
     assert profile.nilpotency_index == 11
     assert profile.nilpotency_index <= result.degree + 1
     assert time.perf_counter() - start < 120.0
@@ -108,6 +122,7 @@ def test_criterion_04b_tower6_finite():
     assert result.degree == N6_REGULARITY
     profile = hilbert_profile(p, max_degree=40)
     assert profile.dims == N6_DIMS
+    assert_gs_lower_bound(p, profile)
     assert profile.nilpotency_index == 15
     assert profile.nilpotency_index <= result.degree + 1
     assert time.perf_counter() - start < 120.0
@@ -121,6 +136,7 @@ def test_criterion_04c_tower7_best_effort():
     assert result.degree == N7_REGULARITY
     profile = hilbert_profile(p, max_degree=64)
     assert profile.dims == N7_DIMS
+    assert_gs_lower_bound(p, profile)
     assert profile.nilpotency_index == 19
     assert profile.nilpotency_index <= result.degree + 1
 

@@ -21,7 +21,7 @@ from quadsemi.engine import (
 from quadsemi.model import IdealMode, Relation, presentation
 from quadsemi.textio import parse_presentation
 
-from test_acceptance import CENSUS_OPEN
+from test_acceptance import CENSUS_OPEN, assert_gs_lower_bound
 
 FREE2 = presentation(2, [])
 COMMUTE2 = presentation(2, [Relation.equal((2, 1), (1, 2))])
@@ -119,6 +119,7 @@ class TestProfiles:
             assert all(d > 0 for d in profile.dims[:-1])
             for a, b in zip(profile.dims[1:], profile.dims[2:]):
                 assert b <= n * a
+            assert_gs_lower_bound(p, profile)
 
 
 class TestProfileAndRegularity:
@@ -141,10 +142,9 @@ class TestProfileAndRegularity:
             profile_and_regularity(FREE2)
 
     def test_one_quotient_chain(self, monkeypatch, tower5):
-        # regularity reads the end of the quotient that the profile's chain
-        # recorded, so the pair steps as often as the profile alone: tower 5
-        # dies at degree 11, and CENSUS_OPEN repeats at 8 but its profile
-        # runs on to the cap
+        # regularity reads the end of the quotient from the profile's chain,
+        # so the pair steps as often as the profile alone: tower 5 dies at
+        # degree 11, and CENSUS_OPEN repeats at 8, where the chain stops
         steps = []
         step = engine._quotient_step
 
@@ -154,7 +154,7 @@ class TestProfileAndRegularity:
 
         monkeypatch.setattr(engine, "_quotient_step", counted)
         limits = EngineLimits(max_degree=12)
-        for p, count in ((tower5, 10), (parse_presentation(CENSUS_OPEN), 11)):
+        for p, count in ((tower5, 10), (parse_presentation(CENSUS_OPEN), 7)):
             for run in (lambda: hilbert_profile(p, limits=limits),
                         lambda: profile_and_regularity(p, limits)):
                 engine._rules.cache_clear()

@@ -82,7 +82,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("name, data, where", [
         ("long.txt", b"generators 2\nx" + b"9" * 5000 + b"*x1 = 0\n", "line 2: "),
-        ("long.json", b'{"n": ' + b"9" * 5000 + b', "relations": []}', "invalid JSON: "),
+        ("long.json", b'{"n": ' + b"9" * 5000 + b', "relations": []}', "line 1: invalid JSON: "),
         ("latin1.txt", b"generators 2\nx2*x1 = 0 # caf\xe9\n", "line 2: not UTF-8"),
         ("n.json", b'{"n": "' + b"9" * 5000 + b'", "relations": []}', "alphabet needs"),
         ("letter.json", b'{"n": 2, "relations": [{"zero": ["' + b"9" * 5000 + b'", 1]}]}',

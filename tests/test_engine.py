@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import quadsemi.engine as engine
 from quadsemi.analysis import hilbert_profile
-from quadsemi.census import enumerate_presentations, relation_universe
+from quadsemi.census import CENSUS_LIMITS, enumerate_presentations, relation_universe
 from quadsemi.constructions import build_regular_qhs, witness_power
 from quadsemi.engine import (
     DEFAULT_LIMITS,
@@ -32,7 +32,7 @@ from quadsemi.textio import parse_presentation
 
 from bruteforce import Partition
 from small_qhs import qhs_census
-from test_acceptance import CENSUS_OPEN
+from test_acceptance import CENSUS_OPEN, assert_gs_lower_bound
 
 FULL = IdealMode.FULL
 REDUCED = IdealMode.WITHOUT_TOP
@@ -505,7 +505,7 @@ class TestRegularity:
         assert "exceeded 1" in result.detail
 
 
-def _chain(p, limits=EngineLimits(max_degree=8)):
+def _singular_sets(p, limits=EngineLimits(max_degree=8)):
     return list(iter_singular_sets(p, limits))
 
 
@@ -522,9 +522,9 @@ class TestSingularBlocks:
         # the budget is _KEPT_WORD_BUDGET (once the memo budget): 0 keeps and
         # hands down no class; 40 keeps some classes of tower n=5 and not others
         cases = _small_qhs_and_tower5(tower5)
-        unbounded = [_chain(p) for p in cases]
+        unbounded = [_singular_sets(p) for p in cases]
         monkeypatch.setattr(engine, "_KEPT_WORD_BUDGET", budget)
-        assert [_chain(p) for p in cases] == unbounded
+        assert [_singular_sets(p) for p in cases] == unbounded
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13])
     def test_capped_regularity_is_inconclusive_or_exact(self, monkeypatch, tower5, cap):
@@ -573,7 +573,7 @@ class TestSingularBlocks:
 
     def test_exhaustion_reports_its_degree(self, tower5):
         with pytest.raises(ResourceExhausted) as err:
-            _chain(tower5, EngineLimits(max_class_size=1, max_degree=40))
+            _singular_sets(tower5, EngineLimits(max_class_size=1, max_degree=40))
         assert err.value.degree == len(err.value.word) == 2
         result = regularity_degree(tower5, EngineLimits(max_class_size=1, max_degree=40))
         assert result.detail == str(err.value)
@@ -605,9 +605,9 @@ class TestSingularBlocks:
         assert minimal_monomial((1, 1, 3), p) == (1, 2, 2)
 
 
-# _full_fate of each presentation of enumerate_presentations(2, 3) at
-# max_degree 8, in enumeration order: "d3" dies at degree 3, "r2" repeats at
-# degree 2, "-" neither within the limit
+# the FULL quotient's end as _chain reads it up to degree 9, for each
+# presentation of enumerate_presentations(2, 3) in enumeration order: "d3"
+# dies at degree 3, "r2" repeats at degree 2, "-" neither within the limit
 FATES_2_3 = (
     "- - - - - - - - - - r3 r3 r3 r3 r3 r3 r3 d4 d4 r3 r3 r5 r3 r2 d3 r2 "
     "r4 r5 r3 r3 d4 r5 r5 r3 r3 r3 r3 d3 r4 r3 r3 d4 r5 r3 r5 r3 r3 r3 r3 "
@@ -617,6 +617,21 @@ FATES_2_3 = (
     "r3 r4 r4 d3 d3 d3 d3 r3 d3 r4 r4 r4 d3 r4 r4 r4 d3 d3 d3 r5 r4 r4 r4 "
     "d3 d3 d3 d3 r3 d3 r3 r3 d3 r3 r3 d3 d3 r3 d3 r4 r4 r4 d3 d3 d3 r4 r5 "
     "r4 d3 r3 r3 r4 r4 r3 d3 d3 r3 r4")
+
+# the n=5 QHS a6e83da714b09d38: open at the census degree cap 12, its FULL
+# class quotient repeats at degree 13
+REPEATS_AT_13 = """\
+generators 5
+x1*x1 = 0
+x4*x1 = 0
+x5*x1 = 0
+x5*x2 = x2*x1
+x4*x3 = x2*x2
+x5*x3 = x3*x2
+x4*x4 = x3*x3
+x5*x4 = x4*x2
+x5*x5 = x3*x1
+"""
 
 
 def _walk_only(p, limits):
@@ -636,8 +651,8 @@ def _no_walk(*_args, **_kwargs):
     raise AssertionError("the singular sets were walked")
 
 
-def _census_open_steps(monkeypatch):
-    """CENSUS_OPEN and a list that gains one entry per class quotient step."""
+def _counted_steps(monkeypatch):
+    """A list that gains the degree of each class quotient step."""
     steps = []
     step = engine._quotient_step
 
@@ -646,7 +661,17 @@ def _census_open_steps(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(engine, "_quotient_step", counted)
-    return parse_presentation(CENSUS_OPEN), steps
+    return steps
+
+
+def _census_open_steps(monkeypatch):
+    """CENSUS_OPEN and a list that gains one entry per class quotient step."""
+    return parse_presentation(CENSUS_OPEN), _counted_steps(monkeypatch)
+
+
+def _end(p, upto, width=DEFAULT_LIMITS.max_classes):
+    """The FULL quotient's end as a fresh chain under ``width`` reads it up to ``upto``."""
+    return engine._chain(p, FULL, upto, width)[1]
 
 
 class TestRepeatingQuotient:
@@ -664,13 +689,19 @@ class TestRepeatingQuotient:
 
     def test_a_hilbert_profile_shares_the_fate(self, monkeypatch):
         p = parse_presentation(CENSUS_OPEN)
-        hilbert_profile(p, 12)
-        # dims 1, 5, 15, 29, 32, 27, 25, 25, ...: degree 4 is the widest
-        # before the repeat
-        assert engine._rules(p, FULL).fate == ("repeats", 8, 32)
+        profile = hilbert_profile(p, 12)
+        # the chain stops at the repeat at degree 8 and keeps no frontier;
+        # every later degree has the repeat's 25 classes
+        rules = engine._rules(p, FULL)
+        assert rules.counts == [1, 5, 15, 29, 32, 27, 25, 25, 25]
+        assert (rules.end, rules.frontier) == (("repeats", 8), None)
+        assert profile.dims == (*rules.counts, 25, 25, 25, 25)
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
         monkeypatch.setattr(engine, "_quotient_step", _no_walk)
         assert regularity_degree(p, EngineLimits(max_degree=12)).status == "irregular_up_to"
+        assert regularity_degree(p, EngineLimits(max_degree=40)).status == "irregular_up_to"
+        deeper = hilbert_profile(p, 40)
+        assert deeper.dims == profile.dims + (25,) * 28 and deeper.truncated_at == 40
 
     def test_capped_answers_do_not_depend_on_an_earlier_profile(self):
         # the class-size caps bound the walks, not the quotient, so at each
@@ -698,7 +729,7 @@ class TestRepeatingQuotient:
             engine._rules.cache_clear()
             hilbert_profile(p, 12)
             assert [regularity_degree(p, limits) for limits in caps] == fresh
-        # the fate is one fact per presentation, read under every width
+        # the end is one fact per presentation, read under every width
         # cap: after a default-width profile, each answer in either order
         # of the caps equals the answer of a fresh chain
         caps = [EngineLimits(max_class_size=1000, max_classes=width, max_degree=12)
@@ -710,14 +741,14 @@ class TestRepeatingQuotient:
                 fresh.append(regularity_degree(q, limits))
             for order, want in ((caps, fresh), (caps[::-1], fresh[::-1])):
                 engine._rules.cache_clear()
-                hilbert_profile(q, 12)
+                assert_gs_lower_bound(q, hilbert_profile(q, 12))
                 assert [regularity_degree(q, limits) for limits in order] == want, q
 
     def test_a_profile_under_other_caps_is_not_shared(self, monkeypatch):
-        # a profile's fate serves every cap under which a fresh chain meets
+        # a profile's chain serves every cap under which a fresh chain meets
         # it: every class-size cap, and every width cap of at least 32, the
         # widest degree before the repeat.  A fresh chain at width cap 31
-        # raises at degree 4, so there the fate is not read
+        # raises at degree 4, so there the end is not read
         p, steps = _census_open_steps(monkeypatch)
         hilbert_profile(p, 12)
         del steps[:]
@@ -726,44 +757,83 @@ class TestRepeatingQuotient:
                        EngineLimits(max_classes=32, max_degree=12)):
             assert regularity_degree(p, limits).status == "irregular_up_to"
         assert steps == []
-        narrow = EngineLimits(max_classes=31, max_degree=12)
-        assert engine._full_fate(p, narrow) is None
+        assert _end(p, 13, 31) is None
         assert steps == []
         engine._rules.cache_clear()
-        assert engine._full_fate(p, narrow) is None
+        assert _end(p, 13, 31) is None
         assert steps == [2, 3, 4]
-        assert engine._rules(p, FULL).fate is None
+        assert engine._rules(p, FULL).end is None
 
     def test_a_fate_past_the_degree_cap_is_not_read(self, monkeypatch):
         p, steps = _census_open_steps(monkeypatch)
         hilbert_profile(p, 12)
         del steps[:]
-        # a fresh chain stops at degree 7 = max_degree + 1, before the repeat
-        assert engine._full_fate(p, EngineLimits(max_degree=6)) is None
-        assert engine._full_fate(p, EngineLimits(max_degree=7)) == ("repeats", 8)
+        # regularity at max_degree 6 reads the chain to degree 7, before
+        # the repeat
+        assert _end(p, 7) is None
+        assert _end(p, 8) == ("repeats", 8)
         assert steps == []
 
     def test_a_chain_whose_caps_change_is_rebuilt(self, monkeypatch):
-        # stepped at the default caps to degree 7, a chain steps on at width
-        # cap 30 with degree 8 alone, whose 25 classes fit, and records the
-        # repeat with the widest degree before it.  A fresh chain at width
-        # cap 30 outgrows degree 4 (32 classes) and never meets the repeat,
-        # so the fate is not read there.  Only the degree built is checked:
-        # at width cap 24 the step raises there
+        # stepped at the default caps to degree 7, the chain keeps degree 7
+        # as its frontier.  At width cap 30 it is not stepped on: a fresh
+        # chain under that cap outgrows degree 4 (32 classes) and never
+        # meets the repeat, so the end is not read there.  At width cap 32
+        # it steps degree 8 alone and meets the repeat
         p, steps = _census_open_steps(monkeypatch)
+        assert engine._chain(p, FULL, 7, DEFAULT_LIMITS.max_classes)[1:] == (None, None)
+        assert engine._rules(p, FULL).frontier.degree == 7
+        del steps[:]
+        counts, end, exc = engine._chain(p, FULL, 13, 30)
+        assert (counts, end, exc.degree, steps) == ((1, 5, 15, 29), None, 4, [])
+        assert str(exc) == "degree 4 has more than 30 classes"
+        assert _end(p, 13, 32) == ("repeats", 8)
+        assert steps == [8]
+        # next_minimal_basis steps a basis without touching the chain, and
+        # checks only the degree it builds: at width cap 24 it raises there
         basis = initial_basis(p, FULL)
         while basis.degree < 7:
             basis = next_minimal_basis(basis, p, FULL)
-        small = EngineLimits(max_class_size=1, max_classes=30, max_degree=12)
-        del steps[:]
+        small = EngineLimits(max_class_size=1, max_classes=25)
         assert len(next_minimal_basis(basis, p, FULL, small).minimals) == 25
-        assert steps == [8]
-        assert engine._rules(p, FULL).fate == ("repeats", 8, 32)
-        assert engine._full_fate(p, small) is None
-        assert steps == [8]
         with pytest.raises(ResourceExhausted) as err:
             next_minimal_basis(basis, p, FULL, EngineLimits(max_classes=24))
         assert err.value.degree == 8
+        assert engine._rules(p, FULL).counts == [1, 5, 15, 29, 32, 27, 25, 25, 25]
+
+    def test_regularity_after_an_open_profile_steps_one_degree(self, monkeypatch):
+        # the profile leaves the chain at degree 12 with its frontier, so
+        # regularity at the same caps steps degree 13 alone, meets the
+        # repeat there and walks no singular set
+        p = parse_presentation(REPEATS_AT_13)
+        steps = _counted_steps(monkeypatch)
+        assert hilbert_profile(p, 12, limits=CENSUS_LIMITS).verdict == "open:12"
+        assert steps == list(range(2, 13))
+        del steps[:]
+        monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
+        result = regularity_degree(p, CENSUS_LIMITS)
+        assert result.verdict == "irregular_up_to:12"
+        assert "repeats at degree 13" in result.detail
+        assert steps == [13]
+
+    def test_a_frontier_past_the_bound_is_dropped(self, monkeypatch):
+        # degrees 8 and 9 have 3344 and 9136 classes: the chain keeps the
+        # first as its frontier, not the second, and a deeper call steps
+        # again from degree 1 to the answer of a fresh chain
+        p = parse_presentation("generators 3\nx1*x1 = 0\n")
+        width = DEFAULT_LIMITS.max_classes
+        steps = _counted_steps(monkeypatch)
+        engine._chain(p, FULL, 8, width)
+        assert engine._rules(p, FULL).frontier.degree == 8
+        assert engine._chain(p, FULL, 9, width)[0][-2:] == (3344, 9136)
+        assert engine._rules(p, FULL).frontier is None
+        del steps[:]
+        deeper = engine._chain(p, FULL, 10, width)
+        assert steps == list(range(2, 11))
+        engine._rules.cache_clear()
+        assert engine._chain(p, FULL, 10, width) == deeper
+        assert deeper[0][-1] > engine._FRONTIER_CLASSES and deeper[1:] == (None, None)
+        assert hilbert_profile(p, 10).dims == deeper[0]
 
     def test_answers_equal_the_walk(self, tower5):
         limits = EngineLimits(max_degree=12)
@@ -786,17 +856,17 @@ class TestRepeatingQuotient:
         repeats = 0
         for p in enumerate_presentations(2, 3):
             engine._rules.cache_clear()
-            fate = engine._full_fate(p, EngineLimits(max_degree=top - 1))
-            if fate is None:
+            end = _end(p, top)
+            if end is None:
                 continue
-            kind, m = fate
+            kind, m = end
             if kind == "dies":
                 assert not Partition(2, m, p, without_top=False).nonzero_minimals(), p
                 continue
             repeats += 1
             dims = {len(Partition(2, k, p, without_top=False).nonzero_minimals())
                     for k in range(m - 1, top + 1)}
-            assert len(dims) == 1 and 0 not in dims, (p, fate, dims)
+            assert len(dims) == 1 and 0 not in dims, (p, end, dims)
         assert repeats > 0
 
     def test_trailing_zero_slots_still_repeat(self):
@@ -804,14 +874,14 @@ class TestRepeatingQuotient:
         # 1's ids, and the three slots after x2 are zero: the blocks repeat
         # only once those trailing zero slots are ignored
         p = parse_presentation("generators 2\nx2*x2 = 0\nx2*x1 = 0\n")
-        assert engine._full_fate(p, EngineLimits(max_degree=8)) == ("repeats", 2)
+        assert _end(p, 9) == ("repeats", 2)
 
     def test_fates_are_frozen(self):
         fates = []
         for p in enumerate_presentations(2, 3):
             engine._rules.cache_clear()
-            fate = engine._full_fate(p, EngineLimits(max_degree=8))
-            fates.append("-" if fate is None else f"{fate[0][0]}{fate[1]}")
+            end = _end(p, 9)
+            fates.append("-" if end is None else f"{end[0][0]}{end[1]}")
         assert " ".join(fates) == FATES_2_3
 
     def test_capped_run_is_settled_where_the_walk_is_inconclusive(self):

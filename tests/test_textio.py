@@ -53,6 +53,22 @@ def test_malformed_relation_reports_line():
     assert err.value.line == 3
 
 
+def test_a_long_malformed_relation_is_abbreviated():
+    with pytest.raises(PresentationSyntaxError) as err:
+        parse_presentation("generators 2\n\nx2*x1 = 0" + "z" * 5000 + "\n")
+    message = str(err.value)
+    assert err.value.line == 3
+    assert message.startswith("line 3: malformed relation 'x2*x1 = 0zz")
+    assert len(message) < 200 and "\n" not in message
+
+
+def test_a_json_number_too_long_reports_its_line():
+    text = '{"n": 2,\n "relations": [{"zero": [1, 1]},\n  {"zero": [%s, 1]}]}' % TOO_LONG
+    with pytest.raises(PresentationSyntaxError, match="5000-digit number") as err:
+        parse_presentation(text)
+    assert err.value.line == 3
+
+
 def test_letter_out_of_range_reports_line():
     with pytest.raises(PresentationSyntaxError) as err:
         parse_presentation("generators 2\nx3*x1 = 0\n")
@@ -133,7 +149,7 @@ TOO_LONG = "9" * 5000  # past int()'s default 4300-digit limit
 @pytest.mark.parametrize("text, line", [
     (f"generators {TOO_LONG}\n", 1),
     (f"generators 3\nx1*x1 = 0\nx{TOO_LONG}*x1 = 0\n", 3),
-    (f'{{"n": {TOO_LONG}, "relations": []}}', None),
+    (f'{{"n": {TOO_LONG}, "relations": []}}', 1),
 ], ids=["header", "letter", "json"])
 def test_an_over_long_number_is_a_syntax_error(text, line):
     with pytest.raises(PresentationSyntaxError, match="too") as err:
