@@ -61,16 +61,13 @@ def hilbert_profile(p: Presentation, max_degree: int | None = None,
     cap = limits.max_degree if max_degree is None else max_degree
     if cap < 0:
         raise ValueError("max_degree must be nonnegative")
-    n = p.alphabet.n
-    if cap == 0:
-        return HilbertProfile(n, mode, (1,), truncated_at=0)
     dims, _end, exc = _chain(p, mode, cap, limits.max_classes)
     if exc is not None:
-        return HilbertProfile(n, mode, dims, exhausted=exc.degree, detail=str(exc))
+        return HilbertProfile(p.n, mode, dims, exhausted=exc.degree, detail=str(exc))
     if not dims[-1]:
-        return HilbertProfile(n, mode, dims, nilpotency_index=len(dims) - 1)
+        return HilbertProfile(p.n, mode, dims, nilpotency_index=len(dims) - 1)
     # every degree past a repeat has the repeat's count
-    return HilbertProfile(n, mode, dims + dims[-1:] * (cap + 1 - len(dims)), truncated_at=cap)
+    return HilbertProfile(p.n, mode, dims + dims[-1:] * (cap + 1 - len(dims)), truncated_at=cap)
 
 
 def profile_and_regularity(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS) -> tuple:

@@ -19,11 +19,11 @@ class minimum one degree down, extended by the least last letter.  This
 needs neither completion nor confluence of the directed rewriting system.
 The quotient lives in flat lists indexed by slot d*(n+1) + a, for class d
 one degree down and last letter a in the letters 1..n that the class
-walks use: a ``MinimalBasis`` carries its degree's blocks list, holding
-each slot's class id or -1 for a zero block, and the step keeps its
-union-find parents in a list of the same slots.  No letter fills slot 0,
-so it is the union-find's zero sink: a zero monomial is one more join, to
-that slot, and a block is zero exactly when its component holds it.
+walks use: a ``MinimalBasis`` carries its presentation, mode and blocks
+list, holding each slot's class id or -1 for a zero block, and the step
+keeps its union-find parents in a list of the same slots.  No letter fills
+slot 0, so it is the union-find's zero sink: a zero monomial is one more
+join to that slot, and a block is zero exactly when its component holds it.
 
 Tame and singular are properties of class members, so those questions
 still walk classes.  Internally a word is a packed int: with
@@ -176,14 +176,14 @@ class MinimalBasis:
     the block of words u + a with u in class d one degree down: it holds
     the id of the block's class, or -1 when the block is zero.  Slot
     d*(n+1), which no letter fills, always holds -1: the next step's zero
-    monomials read it to reach their zero sink.  ``_rules`` holds the
-    presentation and mode they were built under.  Which minimal words are
+    monomials read it to reach their zero sink.  ``_source`` is the pair
+    (presentation, mode) they were built for.  Which minimal words are
     singular is answered by ``iter_singular_sets``.
     """
 
     degree: int
     minimals: tuple
-    _rules: _Rules | None = field(default=None, compare=False, repr=False)
+    _source: tuple | None = field(default=None, compare=False, repr=False)
     _blocks: list | None = field(default=None, compare=False, repr=False)
 
 
@@ -216,7 +216,7 @@ class RegularityResult:
 
 
 class _Rules:
-    """Presentation compiled to tables for one ideal mode.
+    """Presentation compiled to tables for one ideal mode, in one pass.
 
     Letters are 1..n and words are packed with ``k`` = n.bit_length() bits
     per letter.  swaps[a | b << k] is the tuple of deltas
@@ -225,62 +225,55 @@ class _Rules:
     delta << k*j to a word swaps its pair at position j.  ``zero_codes``
     holds the pair codes of the zero monomials, and zero_before[b] the
     letters a with a b a zero monomial, for block walks.  The class
-    quotient reads the same facts by first letter: joins[a] lists a triple
-    (b, r0, r1) for each swap a b -> r0 r1, then (b, 0, 0) for each zero
-    monomial a b: slot d*(n+1) + 0 of a blocks list is always zero, so such
-    a triple joins its block to the quotient's zero sink.  ``_chain``
-    alone writes the quotient's chain: ``counts`` of the degrees stepped, the
-    ``end`` once met, and the ``frontier`` basis of the last degree, or None,
-    kept without its ``_rules`` so that no cycle outlives the cache entry.
+    quotient reads the same facts by first letter: joins[a] lists, in
+    relation order, a triple (b, r0, r1) for each swap a b -> r0 r1 and
+    (b, 0, 0) for each zero monomial a b, which joins its block to slot
+    d*(n+1) + 0, the zero sink; the partition does not depend on their
+    order.  ``_chain`` alone writes the chain: ``counts`` of the degrees
+    stepped, the ``end`` once met, and the last ``frontier`` or None.
     """
 
     __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
                  "counts", "end", "frontier")
 
-    def __init__(self, n, swap, zeros):
-        self.n = n
+    def __init__(self, p: Presentation, mode: IdealMode):
+        self.n = n = p.alphabet.n
+        _check_alphabet(n)
         self.k = k = n.bit_length()
-        self.counts = [1, n]
-        self.end = None
-        self.frontier = None
-        swaps = [None] * (1 << 2 * k)
-        for (a, b), reps in swap.items():
-            swaps[a | b << k] = tuple(r0 - a + (r1 - b << k) for r0, r1 in reps)
-        self.swaps = tuple(swaps)
-        self.zero_codes = frozenset(a | b << k for a, b in zeros)
-        self.zero_before = tuple(frozenset(z[0] for z in zeros if z[1] == b)
-                                 for b in range(n + 1))
-        self.joins = tuple(tuple((b, r0, r1) for b in range(n + 1) if (a, b) in swap
-                                 for r0, r1 in swap[a, b])
-                           + tuple((z[1], 0, 0) for z in zeros if z[0] == a)
-                           for a in range(n + 1))
+        self.counts, self.end, self.frontier = [1, n], None, None
+        self.swaps = swaps = [None] * (1 << 2 * k)
+        self.zero_codes = zero_codes = set()
+        self.zero_before = zero_before = [set() for _ in range(n + 1)]
+        self.joins = joins = [[] for _ in range(n + 1)]
+        top = (n, 1) if mode is IdealMode.WITHOUT_TOP else None
+        for rel in p.relations:
+            (a, b), right = rel.left, rel.right
+            if right is None:
+                if (a, b) == top:
+                    top = None
+                    continue
+                zero_codes.add(a | b << k)
+                zero_before[b].add(a)
+                joins[a].append((b, 0, 0))
+                continue
+            c, d = right
+            delta = c - a + (d - b << k)
+            ab, cd = a | b << k, c | d << k
+            swaps[ab] = (*(swaps[ab] or ()), delta)
+            swaps[cd] = (*(swaps[cd] or ()), -delta)
+            joins[a].append((b, c, d))
+            joins[c].append((d, a, b))
+        if top:
+            raise ValueError(
+                f"WITHOUT_TOP drops the zero monomial x{n}*x1 but the presentation lacks it")
+
+
+_rules = lru_cache(maxsize=256)(_Rules)
 
 
 def _check_alphabet(n: int) -> None:
     if n > 255:
         raise ValueError("the coset engine supports at most 255 generators")
-
-
-@lru_cache(maxsize=256)
-def _rules(p: Presentation, mode: IdealMode) -> _Rules:
-    n = p.alphabet.n
-    _check_alphabet(n)
-    zero_pairs = [r.left for r in p.relations if r.is_zero]
-    if mode is IdealMode.WITHOUT_TOP:
-        top = (n, 1)
-        if top not in zero_pairs:
-            raise ValueError(
-                f"WITHOUT_TOP drops the zero monomial x{n}*x1 but the presentation lacks it"
-            )
-        zero_pairs.remove(top)
-    swap: dict = {}
-    for rel in p.relations:
-        if rel.is_zero:
-            continue
-        swap.setdefault(rel.left, []).append(rel.right)
-        swap.setdefault(rel.right, []).append(rel.left)
-    swap = {key: tuple(v) for key, v in swap.items()}
-    return _Rules(n, swap, tuple(sorted(zero_pairs)))
 
 
 def _pack(word, k: int) -> int:
@@ -737,10 +730,9 @@ def classify(word, p: Presentation, mode: IdealMode = IdealMode.WITHOUT_TOP,
 
 def initial_basis(p: Presentation, mode: IdealMode = IdealMode.FULL) -> MinimalBasis:
     """Degree-1 basis: every letter, each a class of its own."""
-    rules = _rules(p, mode)
-    n = rules.n
+    n = _rules(p, mode).n
     minimals = tuple((x,) for x in range(1, n + 1))
-    return MinimalBasis(1, minimals, rules, [-1, *range(n)])
+    return MinimalBasis(1, minimals, (p, mode), [-1, *range(n)])
 
 
 def _same_blocks(new: list, old: list) -> bool:
@@ -815,7 +807,7 @@ def _quotient_step(basis: MinimalBasis, rules: _Rules, width: int) -> MinimalBas
                     raise _too_wide(degree, width)
                 new_min.append(minimals[c] + letter)
             new_blocks[u] = k
-    return MinimalBasis(degree, tuple(new_min), rules, new_blocks)
+    return MinimalBasis(degree, tuple(new_min), basis._source, new_blocks)
 
 
 def next_minimal_basis(basis: MinimalBasis, p: Presentation,
@@ -825,18 +817,18 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
 
     The class quotient carried by ``basis`` gives the next degree's
     classes without walking them; a basis that carries none, or one built
-    for another presentation or mode, has its quotient rebuilt from degree
-    1.  ResourceExhausted when a degree built here has more than
-    limits.max_classes classes, whatever cap the degrees below were built
-    under; no class-size cap bounds a step of the quotient.
+    for a presentation or mode not equal to ``p`` and ``mode``, has its
+    quotient rebuilt from degree 1.  ResourceExhausted when a degree built
+    here has more than limits.max_classes classes, whatever cap the degrees
+    below were built under; no class-size cap bounds a step of the quotient.
     """
     rules = _rules(p, mode)
-    if basis._rules is not rules:
-        start = initial_basis(p, mode)
-        while start.degree < basis.degree:
-            start = _quotient_step(start, rules, limits.max_classes)
-        basis = start
-    return _quotient_step(basis, rules, limits.max_classes)
+    degree = basis.degree + 1
+    if basis._source != (p, mode):
+        basis = initial_basis(p, mode)
+    while basis.degree < degree:
+        basis = _quotient_step(basis, rules, limits.max_classes)
+    return basis
 
 
 # Most classes of a frontier kept between calls: this bounds what the _rules
@@ -854,14 +846,15 @@ def _chain(p: Presentation, mode: IdealMode, upto: int, width: int):
     with no degree 2..m-1 too wide; past a repeat every degree has counts[m]
     classes.  Each degree is stepped once for all callers, through
     ``next_minimal_basis`` under a cap of at least the classes below, so a
-    degree 2 that repeats a too wide degree 1 is still met as the end.
+    degree 2 that repeats a too wide degree 1 is still met as the end.  A
+    kept frontier is resumed as built.
     """
     rules = _rules(p, mode)
     counts = rules.counts
     wide = next((m for m in range(2, min(upto + 1, len(counts))) if counts[m] > width), None)
     if not (wide or rules.end) and len(counts) <= upto:
         cap = EngineLimits(max_classes=max(width, counts[1]))
-        basis = replace(rules.frontier, _rules=rules) if rules.frontier else initial_basis(p, mode)
+        basis = rules.frontier or initial_basis(p, mode)
         try:
             while not (wide or rules.end or basis.degree == upto):
                 below, basis = basis, next_minimal_basis(basis, p, mode, cap)
@@ -876,7 +869,7 @@ def _chain(p: Presentation, mode: IdealMode, upto: int, width: int):
         except ResourceExhausted:
             wide = len(counts)
         keep = not rules.end and len(basis.minimals) <= _FRONTIER_CLASSES
-        rules.frontier = replace(basis, _rules=None) if keep else None
+        rules.frontier = basis if keep else None
     end = rules.end if rules.end and rules.end[1] <= min(upto, wide or upto) else None
     return tuple(counts[:wide or upto + 1]), end, wide and _too_wide(wide, width)
 

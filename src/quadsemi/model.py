@@ -31,7 +31,7 @@ import reprlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import starmap
+from itertools import islice, starmap
 from operator import attrgetter, eq, ge
 
 Pair = tuple[int, int]
@@ -181,6 +181,7 @@ class Alphabet:
 
 _stored_key = attrgetter("_key")
 _stored_top = attrgetter("_top")
+_LISTED_GAPS = 10  # coverage gaps a QHS report lists one by one
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ class Presentation:
     Every presentation is checked on construction: duplicate relations and
     letters beyond x_n are rejected.  Sorting, the duplicate check (equal
     adjacent keys) and the alphabet check read the key and top letter each
-    relation stored when it was built.
+    relation stored when it was built.  The hash is the dataclass hash of
+    (alphabet, relations), computed once per object.
     """
 
     alphabet: Alphabet
@@ -226,6 +228,13 @@ class Presentation:
     def is_qhs(self) -> bool:
         """``validate_qhs(self).valid``, stopping at the first violation."""
         return next(_violations(self), None) is None
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.alphabet, self.relations))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property
     def _content_id(self) -> str:
@@ -284,9 +293,9 @@ def _violations(p: Presentation):
     """Yield the violations of the QHS axioms one at a time, in report order.
 
     Overlaps come first, then coverage gaps in pair order, then bad shapes,
-    then the missing top monomial.  Gaps are looked for only when fewer
-    than the n(n+1)/2 lower pairs are covered, and are listed lazily, so a
-    caller that stops at the first violation pays O(relations).
+    then the missing top monomial.  Only the first ``_LISTED_GAPS`` gaps
+    are listed, and one more gap with no pair counts the rest, so a report
+    costs O(relations) however large n is.
     """
     n = p.alphabet.n
     seen: set = set()
@@ -299,12 +308,13 @@ def _violations(p: Presentation):
                 flagged.add(q)
             seen.add(q)
 
-    if sum(starmap(ge, seen)) < n * (n + 1) // 2:
-        for b in range(1, n + 1):
-            for a in range(b, n + 1):
-                if (a, b) not in seen:
-                    yield Violation(ViolationKind.COVERAGE_GAP,
-                                    f"no support covers {pair_str((a, b))}", (a, b))
+    missing = n * (n + 1) // 2 - sum(starmap(ge, seen))
+    gaps = ((a, b) for b in range(1, n + 1) for a in range(b, n + 1) if (a, b) not in seen)
+    for q in islice(gaps, min(missing, _LISTED_GAPS)):
+        yield Violation(ViolationKind.COVERAGE_GAP, f"no support covers {pair_str(q)}", q)
+    if missing > _LISTED_GAPS:
+        yield Violation(ViolationKind.COVERAGE_GAP,
+                        f"no support covers {missing - _LISTED_GAPS} more lower pairs")
 
     for rel in p.relations:
         if rel._fits_qhs():

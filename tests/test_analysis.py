@@ -54,6 +54,15 @@ class TestProfiles:
         assert profile.dims == (1,)
         assert profile.verdict == "open:0"
 
+    @pytest.mark.parametrize("p, mode, match", [
+        (presentation(2, [Relation.zero(1, 1)]), IdealMode.WITHOUT_TOP, "x2\\*x1"),
+        (presentation(300, []), IdealMode.FULL, "255"),
+    ], ids=["without-top", "alphabet"])
+    def test_degree_zero_cap_checks_the_input(self, p, mode, match):
+        for cap in (0, 1):
+            with pytest.raises(ValueError, match=match):
+                hilbert_profile(p, cap, mode)
+
     def test_negative_cap_rejected(self, m2):
         with pytest.raises(ValueError):
             hilbert_profile(m2, max_degree=-1)

@@ -70,6 +70,17 @@ class TestValidate:
         kinds = {v["kind"] for v in data["violations"]}
         assert "missing_top_monomial" in kinds
 
+    def test_a_large_alphabet_gives_a_short_report(self, tmp_path, capsys):
+        # ten gaps, one line counting the other 5,000,049,990, and the top
+        path = tmp_path / "wide.txt"
+        path.write_text("generators 100000\n")
+        start = time.process_time()
+        assert main(["validate", str(path)]) == 1
+        assert time.process_time() - start < 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) <= 13
+        assert "  coverage_gap: no support covers 5000049990 more lower pairs" in out
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.txt")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from quadsemi.engine import (
 from quadsemi.model import IdealMode, Relation, presentation
 from quadsemi.textio import parse_presentation
 
-from bruteforce import Partition
+from bruteforce import Partition, relation_tables
 from small_qhs import qhs_census
 from test_acceptance import CENSUS_OPEN, assert_gs_lower_bound
 
@@ -362,6 +362,19 @@ class TestBases:
             for q in census:
                 assert next_minimal_basis(third[p], q, FULL) == fourth[q], (p, q)
 
+    def test_a_basis_outlives_its_compiled_tables(self, monkeypatch, tower5):
+        # a basis names the presentation and mode it was built for, so once
+        # the compiled tables are evicted, one step on an equal presentation
+        # still builds the next degree from it
+        basis = initial_basis(tower5, FULL)
+        for _ in range(3):
+            basis = next_minimal_basis(basis, tower5, FULL)
+        want = next_minimal_basis(basis, tower5, FULL)
+        engine._rules.cache_clear()
+        steps = _counted_steps(monkeypatch)
+        got = next_minimal_basis(basis, build_regular_qhs(5), FULL)
+        assert (got, got._blocks, steps) == (want, want._blocks, [5])
+
     def test_basis_of_another_mode_is_rebuilt(self, m2):
         full = next_minimal_basis(initial_basis(m2, FULL), m2, FULL)
         reduced = next_minimal_basis(initial_basis(m2, REDUCED), m2, REDUCED)
@@ -425,6 +438,38 @@ def _member_path_checks(p, mode, max_degree, words=50, swaps=50, seed=7):
     return checks
 
 
+class TestCompile:
+    def test_tables_match_the_relations(self):
+        # each pair's swap targets in relation order, the zero pairs, and
+        # the joins by first letter in any order, as the oracle reads them
+        cases = [*(p for n in (1, 2, 3, 4) for p in qhs_census(n)),
+                 *enumerate_presentations(2, 4)]
+        for p, mode in ((p, mode) for p in cases for mode in (FULL, REDUCED)):
+            n = p.alphabet.n
+            if mode is REDUCED and Relation.zero(n, 1) not in p.relations:
+                with pytest.raises(ValueError, match="WITHOUT_TOP"):
+                    engine._rules(p, mode)
+                continue
+            rules = engine._rules(p, mode)
+            k = rules.k
+            swaps, zeros = relation_tables(p, mode is REDUCED)
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    code = a | b << k
+                    got = [engine._unpack(code + d, k) for d in rules.swaps[code] or ()]
+                    want = [r if q == (a, b) else q for q, r in swaps if (a, b) in (q, r)]
+                    assert got == want and (rules.swaps[code] is None) == (not want), p
+            assert {engine._unpack(c, k) for c in rules.zero_codes} == set(zeros), p
+            assert {(a, b) for b in range(n + 1) for a in rules.zero_before[b]} == set(zeros)
+            joins = [[] for _ in range(n + 1)]
+            for (a, b), (c, d) in swaps:
+                joins[a].append((b, c, d))
+                joins[c].append((d, a, b))
+            for a, b in zeros:
+                joins[a].append((b, 0, 0))
+            assert [sorted(j) for j in rules.joins] == [sorted(j) for j in joins], (p, mode)
+
+
 class TestQuotientAtFullDepth:
     """The quotient's class of a word, read off its slot path, is the class
     that a walk from that word finds, at every degree the quotient reaches."""
@@ -435,9 +480,11 @@ class TestQuotientAtFullDepth:
         # every class of every degree: none has 50 classes in one degree
         assert checks == 298
 
-    @pytest.mark.parametrize("n, checks", [(5, 630), (6, 1102)])
+    @pytest.mark.parametrize("n, checks", [(5, 630), (6, 1102), (7, 662)])
     def test_towers_to_their_end(self, n, checks):
-        assert _member_path_checks(build_regular_qhs(n), FULL, 64) == checks
+        # tower n=7 draws 20 classes a degree, about 5 s, in place of 50
+        words = 20 if n == 7 else 50
+        assert _member_path_checks(build_regular_qhs(n), FULL, 64, words) == checks
 
     def test_open_census_presentation_past_its_repeat(self):
         # the FULL quotient repeats at degree 8

@@ -11,6 +11,7 @@ from quadsemi.model import (
     IdealMode,
     Presentation,
     Relation,
+    Violation,
     ViolationKind,
     canonical_json,
     delta,
@@ -225,12 +226,20 @@ class TestValidate:
             triples = [[v.kind.value, v.detail, v.pair] for v in validate_qhs(p).violations]
             digest.update(json.dumps(triples).encode("ascii") + b"\n")
         assert len(cases) == 1768
-        assert digest.hexdigest() == "f189a7efbed15c85568a537a8b8e1ad58db922f503a5450800db45b9dcf65a43"
+        assert digest.hexdigest() == "9c537ff9af54fde1edbdc5b900d1ec3a68981fb4a4943611b6b42fc4b427ff28"
 
     def test_empty_presentation_reports_every_gap(self):
         report = validate_qhs(presentation(2, []))
         gaps = [v for v in report.violations if v.kind is ViolationKind.COVERAGE_GAP]
         assert {v.pair for v in gaps} == lower_pairs(2)
+
+    def test_gaps_past_the_tenth_are_counted(self):
+        report = validate_qhs(presentation(5, [Relation.zero(5, 1), Relation.zero(1, 1)]))
+        gaps = [v for v in report.violations if v.kind is ViolationKind.COVERAGE_GAP]
+        assert [v.pair for v in gaps[:10]] == sorted(lower_pairs(5) - {(5, 1), (1, 1)},
+                                                     key=pair_key)[:10]
+        assert report.violations[10:] == (
+            Violation(ViolationKind.COVERAGE_GAP, "no support covers 3 more lower pairs"),)
 
     def test_lower_pairs_count(self):
         for n in range(1, 8):
@@ -331,6 +340,17 @@ class TestSerialisation:
         text = canonical_json(m2)
         assert json.loads(text) == to_json_dict(m2)
         assert " " not in text
+
+    def test_hash_is_computed_once(self, monkeypatch):
+        p = build_regular_qhs(6)
+        want = hash((p.alphabet, p.relations))
+        assert hash(p) == want
+
+        def rehash(_rel):
+            raise AssertionError("a relation was hashed again")
+
+        monkeypatch.setattr(Relation, "__hash__", rehash)
+        assert hash(p) == want
 
     def test_hash_is_stable_and_content_keyed(self, m2):
         again = presentation(2, [Relation.equal((1, 1), (2, 2)), Relation.zero(2, 1)])
