@@ -103,7 +103,7 @@ def enumerate_presentations(n: int, d_max: int):
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     universe = relation_universe(n)
-    for size in range(1, d_max + 1):
+    for size in range(1, min(d_max, len(universe)) + 1):
         for combo in combinations(universe, size):
             yield presentation(n, list(combo))
 

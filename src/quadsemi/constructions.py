@@ -6,7 +6,8 @@ the inner top-product relation is dropped, and a fixed pattern of equality
 relations ties the new letters to the old ones.  Iterating the step over a
 small base gives, for every n, a QHS whose relation count meets the known
 minimum delta(n), and these are the presentations the nilpotency search
-runs on.
+runs on.  A tower is assembled in one pass from that wiring, each relation
+shifted once to its final letters; ``extend`` is the pass with one level.
 """
 
 from __future__ import annotations
@@ -21,30 +22,27 @@ from .model import (
     Word,
     delta,
     presentation,
-    strip_top,
 )
 
 _BASE_RELATIONS = {
-    1: [
-        ("zero", (1, 1)),
-    ],
+    1: [Relation.zero(1, 1)],
     2: [
-        ("equal", (2, 2), (1, 1)),
-        ("zero", (2, 1)),
+        Relation.equal((2, 2), (1, 1)),
+        Relation.zero(2, 1),
     ],
     3: [
-        ("equal", (3, 3), (2, 1)),
-        ("equal", (3, 2), (1, 1)),
-        ("zero", (2, 2)),
-        ("zero", (3, 1)),
+        Relation.equal((3, 3), (2, 1)),
+        Relation.equal((3, 2), (1, 1)),
+        Relation.zero(2, 2),
+        Relation.zero(3, 1),
     ],
     4: [
-        ("equal", (4, 4), (3, 1)),
-        ("equal", (4, 3), (2, 1)),
-        ("equal", (4, 2), (1, 1)),
-        ("equal", (3, 3), (2, 2)),
-        ("zero", (3, 2)),
-        ("zero", (4, 1)),
+        Relation.equal((4, 4), (3, 1)),
+        Relation.equal((4, 3), (2, 1)),
+        Relation.equal((4, 2), (1, 1)),
+        Relation.equal((3, 3), (2, 2)),
+        Relation.zero(3, 2),
+        Relation.zero(4, 1),
     ],
 }
 
@@ -53,12 +51,31 @@ def base_qhs(n: int) -> Presentation:
     """Hand-built minimum-size QHS for n = 1..4, the towers' ground floors."""
     if n not in _BASE_RELATIONS:
         raise ValueError("base presentations exist for 1 <= n <= 4 only")
-    rels = []
-    for item in _BASE_RELATIONS[n]:
-        if item[0] == "zero":
-            rels.append(Relation.zero(*item[1]))
-        else:
-            rels.append(Relation.equal(item[1], item[2]))
+    return presentation(n, _BASE_RELATIONS[n])
+
+
+def _wrap(inner: Presentation, levels: int) -> Presentation:
+    """``levels`` extension steps around a QHS on m generators, in one pass.
+
+    Step t (1..levels) adds its equalities on m + 4t letters, and each
+    later step raises them by two, so they are written raised by
+    2(levels - t) and the inner relations by 2 levels.  Every step drops
+    the top zero of the one below: the inner x_m*x_1 = 0 is skipped, and
+    only the last top zero x_n*x_1 = 0 is added.
+    """
+    m = inner.alphabet.n
+    n = m + 4 * levels
+    top = Relation.zero(m, 1)
+    pairs = [(2 * levels, r.left, r.right) for r in inner.relations if r != top]
+    for t in range(1, levels + 1):
+        k, s = m + 4 * t, 2 * (levels - t)
+        pairs += [(s, (k, j), (j, 1)) for j in range(2, k - 1)]
+        pairs += [(s, (k - 1, j + 1), (j, 2)) for j in range(2, k - 2)]
+        pairs += [(s, (k, k), (k - 1, 1)), (s, (k, k - 1), (k - 2, 2)),
+                  (s, (k - 1, k - 1), (k - 2, 3)), (s, (k - 1, 2), (1, 1))]
+    rels = [Relation((a + s, b + s), None if right is None else (right[0] + s, right[1] + s))
+            for s, (a, b), right in pairs]
+    rels.append(Relation.zero(n, 1))
     return presentation(n, rels)
 
 
@@ -73,27 +90,7 @@ def extend(inner: Presentation) -> Presentation:
     """
     if not inner.is_qhs:
         raise ValueError("extension requires a valid QHS inner presentation")
-    m = inner.alphabet.n
-    n = m + 4
-    stripped = strip_top(inner)
-    rels = []
-    for r in stripped.relations:
-        a, b = r.left
-        if r.right is None:
-            rels.append(Relation.zero(a + 2, b + 2))
-        else:
-            c, d = r.right
-            rels.append(Relation.equal((a + 2, b + 2), (c + 2, d + 2)))
-    for j in range(2, n - 1):
-        rels.append(Relation.equal((n, j), (j, 1)))
-    for j in range(2, n - 2):
-        rels.append(Relation.equal((n - 1, j + 1), (j, 2)))
-    rels.append(Relation.equal((n, n), (n - 1, 1)))
-    rels.append(Relation.equal((n, n - 1), (n - 2, 2)))
-    rels.append(Relation.equal((n - 1, n - 1), (n - 2, 3)))
-    rels.append(Relation.equal((n - 1, 2), (1, 1)))
-    rels.append(Relation.zero(n, 1))
-    return presentation(n, rels)
+    return _wrap(inner, 1)
 
 
 @dataclass(frozen=True)
@@ -115,9 +112,7 @@ def tower_spec(n: int) -> TowerSpec:
 def build_regular_qhs(n: int) -> Presentation:
     """Tower presentation on n generators with exactly delta(n) relations."""
     spec = tower_spec(n)
-    p = base_qhs(spec.base_size)
-    for _ in range(spec.extensions):
-        p = extend(p)
+    p = _wrap(base_qhs(spec.base_size), spec.extensions)
     assert len(p.relations) == delta(n)
     return p
 

@@ -305,8 +305,11 @@ def _encode_word(word, rules: _Rules) -> int:
 
 
 def _exhausted(word: Word, cap: int) -> ResourceExhausted:
+    # a long word is named by its head and length; ``word`` keeps it whole
+    name = monomial_str(word) if len(word) <= 20 else (
+        f"{monomial_str(word[:20])}*... ({len(word)} letters)")
     return ResourceExhausted(
-        f"coset class of {monomial_str(word)} exceeded {cap} members",
+        f"coset class of {name} exceeded {cap} members",
         word=word,
         degree=len(word),
     )
@@ -897,10 +900,8 @@ def iter_singular_sets(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS):
     cap = limits.max_class_size
     k = rules.k
     letters = range(1, rules.n + 1)
-    # a single letter packs to itself, and each singular letter is a class
-    # of its own
-    sing = list(letters[:-1])
-    kept = [(~i << 8, w, (w,), {}, 1) for i, w in enumerate(sing[:_KEPT_WORD_BUDGET])]
+    # a single letter packs to itself
+    sing, kept = _singular_step(list(letters), rules, cap, {})
     yield 1, tuple((w,) for w in sing)
     degree = 1
     while sing and degree < limits.max_degree:

@@ -155,6 +155,13 @@ class TestBuildExtend:
         err = capsys.readouterr().err
         assert "error: extension requires a valid QHS inner presentation" in err
 
+    def test_build_of_a_large_tower_is_quick(self, capsys):
+        # the 255-letter tower is built in one pass, not one level at a time
+        start = time.perf_counter()
+        assert main(["build", "--n", "255"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out.startswith("generators 255\n")
+
     def test_lemma_m1_rejects_a_large_alphabet_quickly(self, capsys):
         # refused before the n = 300 tower is built, which takes seconds
         start = time.perf_counter()
@@ -394,6 +401,13 @@ class TestLemmaM1:
         assert main(["lemma-m1", "--n", "5", "--power", "1"]) == 2
         assert "no class member ends in x5" in capsys.readouterr().out
 
+    def test_exhaustion_on_a_long_power_is_one_short_line(self, capsys):
+        argv = ["--max-class-size", "1", "lemma-m1", "--n", "5", "--power", "80000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "*... (80000 letters) exceeded 1 members" in err
+
     def test_small_n_is_input_error(self, capsys):
         assert main(["lemma-m1", "--n", "4"]) == 1
         assert "n >= 5" in capsys.readouterr().err
@@ -432,6 +446,17 @@ class TestEnumerate:
     def test_presentations_count(self, capsys):
         assert main(["enumerate", "--n", "2", "--presentations", "--d-max", "1", "--count"]) == 0
         assert capsys.readouterr().out.strip() == "10"
+
+    def test_d_max_past_the_relation_universe(self, capsys):
+        # n = 1 has one relation, so no size past 1 is tried
+        start = time.perf_counter()
+        assert main(["enumerate", "--n", "1", "--presentations", "--d-max", "320000", "--count"]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == "1\n"
+        # n = 2 has ten, so every d_max from 10 on counts all 2^10 - 1 subsets
+        for d_max in ("10", "12"):
+            assert main(["enumerate", "--n", "2", "--presentations", "--d-max", d_max, "--count"]) == 0
+            assert capsys.readouterr().out == "1023\n"
 
     def test_presentations_need_d_max(self, capsys):
         assert main(["enumerate", "--n", "2", "--presentations"]) == 1

@@ -104,11 +104,16 @@ class TestTower:
             assert 1 <= spec.base_size <= 4
 
     def test_build_sizes_meet_the_minimum(self):
-        for n in range(1, 14):
-            p = build_regular_qhs(n)
-            assert p.alphabet.n == n
-            assert len(p.relations) == delta(n)
-            assert validate_qhs(p).valid
+        # the one-pass tower is extend iterated: every base size, up to 14 levels
+        for base in (1, 2, 3, 4):
+            p = base_qhs(base)
+            for n in range(base, 61, 4):
+                tower = build_regular_qhs(n)
+                assert tower == p
+                assert tower.alphabet.n == n
+                assert len(tower.relations) == delta(n)
+                assert tower.is_qhs
+                p = extend(p)
 
     def test_small_towers_are_the_bases(self, m1, m4):
         assert build_regular_qhs(1) == m1

@@ -258,6 +258,13 @@ class TestErrors:
             coset_class(word, p, FULL, EngineLimits(max_class_size=100))
         assert err.value.word == word
         assert err.value.degree == 12
+        # a long word is named by its first 20 letters and its length
+        word = (1, 2) * 30
+        with pytest.raises(ResourceExhausted) as err:
+            coset_class(word, p, FULL, EngineLimits(max_class_size=1))
+        assert err.value.word == word
+        assert str(err.value) == ("coset class of " + "*".join(["x1", "x2"] * 10)
+                                  + "*... (60 letters) exceeded 1 members")
 
     def test_limits_must_be_positive(self):
         with pytest.raises(ValueError):
