@@ -16,7 +16,6 @@ from .engine import (
     EngineLimits,
     ResourceExhausted,
     _chain,
-    _require_qhs,
     regularity_degree,
 )
 from .model import IdealMode, Presentation
@@ -73,12 +72,14 @@ def hilbert_profile(p: Presentation, max_degree: int | None = None,
 def profile_and_regularity(p: Presentation, limits: EngineLimits = DEFAULT_LIMITS) -> tuple:
     """The FULL Hilbert profile and the regularity of a QHS, both under ``limits``.
 
-    Both read the one chain of the FULL class quotient: the profile steps
-    it to the degree cap or its end, and regularity reads its end from
-    there, stepping at most the one degree past the cap.
+    Both read the one chain of the FULL class quotient: regularity steps
+    it to one degree past the cap or to its end, and the profile reads its
+    counts from there, so each degree is stepped once.  A chain cut by
+    max_classes keeps no count for the wide degree, and the profile steps
+    the chain again up to it.
     """
-    _require_qhs(p)
-    return hilbert_profile(p, limits=limits), regularity_degree(p, limits)
+    regularity = regularity_degree(p, limits)
+    return hilbert_profile(p, limits=limits), regularity
 
 
 def total_dimension(profile: HilbertProfile) -> int | None:
@@ -92,9 +93,10 @@ def total_dimension(profile: HilbertProfile) -> int | None:
 class Dim3Report:
     """Degree-3 dimension next to the generic lower bound n^3 - 2*d*n.
 
-    d is the relation count.  A dimension under the bound would certify a
-    non-generic (in particular non-Golod-Shafarevich) presentation; the
-    report only states the comparison, it draws no further conclusion.
+    d is the relation count.  By Golod-Shafarevich every quadratic
+    presentation has dim3 >= n*dim2 - d*n >= n^3 - 2*d*n, so no dimension
+    lies under the bound; ``below_bound`` is true when the bound lies
+    strictly below the dimension.  The report draws no further conclusion.
     """
 
     n: int
@@ -104,7 +106,7 @@ class Dim3Report:
 
     @property
     def below_bound(self) -> bool:
-        # True when n^3 - 2dn undershoots the observed degree-3 dimension
+        # True when n^3 - 2dn lies strictly below the degree-3 dimension
         return self.gs_value < self.dim3
 
 

@@ -69,10 +69,11 @@ words ride along but feed nothing back.  So when a degree's blocks equal
 the ones they were built from (zero slots past the last nonzero one aside)
 and the degree still has classes, every later degree repeats them, and the
 algebra is infinite-dimensional.  That repeat, or the degree where no class
-is left, is the quotient's end.  ``_chain`` steps one chain per
-presentation and mode, each degree once for every caller and never past
-the end, and a call reads it only as far as a fresh chain under its own
-caps would reach, so every engine answer is a function of its arguments.
+is left, is the quotient's end.  ``_chain`` keeps one chain per
+presentation and mode, its class counts and its end but no basis; a call
+that needs a degree not yet counted steps it again from degree 1, never
+past the end, and a call reads it only as far as a fresh chain under its
+own caps would reach, so every engine answer is a function of its arguments.
 A repeating FULL quotient settles regularity: a degree with no singular
 words would make the algebra nilpotent of index at most one more than that
 degree, so an infinite algebra has singular words in every degree and
@@ -230,17 +231,17 @@ class _Rules:
     (b, 0, 0) for each zero monomial a b, which joins its block to slot
     d*(n+1) + 0, the zero sink; the partition does not depend on their
     order.  ``_chain`` alone writes the chain: ``counts`` of the degrees
-    stepped, the ``end`` once met, and the last ``frontier`` or None.
+    stepped and the ``end`` once met, never a basis.
     """
 
     __slots__ = ("n", "k", "swaps", "zero_codes", "zero_before", "joins",
-                 "counts", "end", "frontier")
+                 "counts", "end")
 
     def __init__(self, p: Presentation, mode: IdealMode):
         self.n = n = p.alphabet.n
         _check_alphabet(n)
         self.k = k = n.bit_length()
-        self.counts, self.end, self.frontier = [1, n], None, None
+        self.counts, self.end = [1, n], None
         self.swaps = swaps = [None] * (1 << 2 * k)
         self.zero_codes = zero_codes = set()
         self.zero_before = zero_before = [set() for _ in range(n + 1)]
@@ -834,11 +835,6 @@ def next_minimal_basis(basis: MinimalBasis, p: Presentation,
     return basis
 
 
-# Most classes of a frontier kept between calls: this bounds what the _rules
-# cache holds, and a deeper call on a chain that kept none steps from degree 1
-_FRONTIER_CLASSES = 4096
-
-
 def _chain(p: Presentation, mode: IdealMode, upto: int, width: int):
     """(counts, end, exc): what a fresh quotient chain under ``width`` sees up to degree ``upto``.
 
@@ -847,22 +843,22 @@ def _chain(p: Presentation, mode: IdealMode, upto: int, width: int):
     more than ``width`` classes, for which exc is the ResourceExhausted.
     end is ("dies", m) or ("repeats", m) when the quotient ends at m <= upto
     with no degree 2..m-1 too wide; past a repeat every degree has counts[m]
-    classes.  Each degree is stepped once for all callers, through
-    ``next_minimal_basis`` under a cap of at least the classes below, so a
-    degree 2 that repeats a too wide degree 1 is still met as the end.  A
-    kept frontier is resumed as built.
+    classes.  Each degree is counted once for all callers: a deeper call
+    steps again from degree 1, through ``next_minimal_basis`` under a cap
+    of at least the classes below (so a degree 2 that repeats a too wide
+    degree 1 is still met as the end), and counts only the new degrees.
     """
     rules = _rules(p, mode)
     counts = rules.counts
     wide = next((m for m in range(2, min(upto + 1, len(counts))) if counts[m] > width), None)
     if not (wide or rules.end) and len(counts) <= upto:
         cap = EngineLimits(max_classes=max(width, counts[1]))
-        basis = rules.frontier or initial_basis(p, mode)
+        basis = initial_basis(p, mode)
         try:
             while not (wide or rules.end or basis.degree == upto):
                 below, basis = basis, next_minimal_basis(basis, p, mode, cap)
                 if basis.degree < len(counts):
-                    continue  # stepping again up to a dropped frontier
+                    continue  # counted by an earlier call
                 counts.append(len(basis.minimals))
                 if not counts[-1]:
                     rules.end = ("dies", basis.degree)
@@ -871,8 +867,6 @@ def _chain(p: Presentation, mode: IdealMode, upto: int, width: int):
                 wide = basis.degree if counts[-1] > width else None
         except ResourceExhausted:
             wide = len(counts)
-        keep = not rules.end and len(basis.minimals) <= _FRONTIER_CLASSES
-        rules.frontier = basis if keep else None
     end = rules.end if rules.end and rules.end[1] <= min(upto, wide or upto) else None
     return tuple(counts[:wide or upto + 1]), end, wide and _too_wide(wide, width)
 

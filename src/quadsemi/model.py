@@ -218,12 +218,6 @@ class Presentation:
     def support_union(self) -> frozenset:
         return frozenset(q for rel in self.relations for q in rel.support)
 
-    def zero_relations(self) -> tuple:
-        return tuple(r for r in self.relations if r.is_zero)
-
-    def binomial_relations(self) -> tuple:
-        return tuple(r for r in self.relations if not r.is_zero)
-
     @cached_property
     def is_qhs(self) -> bool:
         """``validate_qhs(self).valid``, stopping at the first violation."""

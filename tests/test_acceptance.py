@@ -260,7 +260,7 @@ def test_criterion_08d_rewrites_decrease():
     for n in range(1, 14):
         p = build_regular_qhs(n)
         contexts = [((), ()), ((1,), ()), ((), (1,)), ((n, n), (1, 1))]
-        for rel in p.binomial_relations():
+        for rel in (r for r in p.relations if not r.is_zero):
             assert pair_key(rel.right) < pair_key(rel.left), rel
             for head, tail in contexts:
                 bigger = head + rel.left + tail

@@ -10,6 +10,7 @@ from quadsemi.analysis import (
     profile_to_json,
     total_dimension,
 )
+from quadsemi.census import enumerate_presentations
 from quadsemi.engine import (
     EngineLimits,
     RegularityResult,
@@ -21,6 +22,7 @@ from quadsemi.engine import (
 from quadsemi.model import IdealMode, Relation, presentation
 from quadsemi.textio import parse_presentation
 
+from small_qhs import qhs_census
 from test_acceptance import CENSUS_OPEN, assert_gs_lower_bound
 
 FREE2 = presentation(2, [])
@@ -196,6 +198,17 @@ class TestDim3:
         assert str(err.value) == "degree 2 has more than 2 classes"
         assert err.value.degree == 2
         assert dim3_report(COMMUTE2, EngineLimits(max_class_size=1)).dim3 == 4
+
+    def test_no_dimension_lies_under_the_bound(self):
+        # Golod-Shafarevich: dim3 >= n*dim2 - d*n >= n^3 - 2*d*n for every
+        # quadratic presentation, so the bound lies strictly below the
+        # dimension or meets it
+        cases = [*(p for n in (1, 2, 3, 4) for p in qhs_census(n)),
+                 *enumerate_presentations(2, 4)]
+        reports = [dim3_report(p) for p in cases]
+        assert len(reports) == 732
+        assert all(r.dim3 >= r.gs_value for r in reports)
+        assert sum(r.below_bound for r in reports) == 688
 
 
 class TestExports:

@@ -121,7 +121,7 @@ class TestTower:
 
     def test_binomials_rewrite_downward(self):
         for n in range(1, 14):
-            for rel in build_regular_qhs(n).binomial_relations():
+            for rel in (r for r in build_regular_qhs(n).relations if not r.is_zero):
                 assert pair_key(rel.right) < pair_key(rel.left)
 
 

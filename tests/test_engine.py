@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadsemi.engine as engine
-from quadsemi.analysis import hilbert_profile
+from quadsemi.analysis import hilbert_profile, profile_and_regularity
 from quadsemi.census import CENSUS_LIMITS, enumerate_presentations, relation_universe
 from quadsemi.constructions import build_regular_qhs, witness_power
 from quadsemi.engine import (
@@ -744,11 +745,11 @@ class TestRepeatingQuotient:
     def test_a_hilbert_profile_shares_the_fate(self, monkeypatch):
         p = parse_presentation(CENSUS_OPEN)
         profile = hilbert_profile(p, 12)
-        # the chain stops at the repeat at degree 8 and keeps no frontier;
-        # every later degree has the repeat's 25 classes
+        # the chain stops at the repeat at degree 8; every later degree has
+        # the repeat's 25 classes
         rules = engine._rules(p, FULL)
         assert rules.counts == [1, 5, 15, 29, 32, 27, 25, 25, 25]
-        assert (rules.end, rules.frontier) == (("repeats", 8), None)
+        assert rules.end == ("repeats", 8)
         assert profile.dims == (*rules.counts, 25, 25, 25, 25)
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
         monkeypatch.setattr(engine, "_quotient_step", _no_walk)
@@ -829,20 +830,20 @@ class TestRepeatingQuotient:
         assert steps == []
 
     def test_a_chain_whose_caps_change_is_rebuilt(self, monkeypatch):
-        # stepped at the default caps to degree 7, the chain keeps degree 7
-        # as its frontier.  At width cap 30 it is not stepped on: a fresh
+        # stepped at the default caps to degree 7, the chain keeps the counts
+        # of degrees 0-7.  At width cap 30 it is not stepped on: a fresh
         # chain under that cap outgrows degree 4 (32 classes) and never
         # meets the repeat, so the end is not read there.  At width cap 32
-        # it steps degree 8 alone and meets the repeat
+        # it steps degrees 2-8 again, counts degree 8 alone and meets the
+        # repeat
         p, steps = _census_open_steps(monkeypatch)
         assert engine._chain(p, FULL, 7, DEFAULT_LIMITS.max_classes)[1:] == (None, None)
-        assert engine._rules(p, FULL).frontier.degree == 7
         del steps[:]
         counts, end, exc = engine._chain(p, FULL, 13, 30)
         assert (counts, end, exc.degree, steps) == ((1, 5, 15, 29), None, 4, [])
         assert str(exc) == "degree 4 has more than 30 classes"
         assert _end(p, 13, 32) == ("repeats", 8)
-        assert steps == [8]
+        assert steps == list(range(2, 9))
         # next_minimal_basis steps a basis without touching the chain, and
         # checks only the degree it builds: at width cap 24 it raises there
         basis = initial_basis(p, FULL)
@@ -855,39 +856,57 @@ class TestRepeatingQuotient:
         assert err.value.degree == 8
         assert engine._rules(p, FULL).counts == [1, 5, 15, 29, 32, 27, 25, 25, 25]
 
-    def test_regularity_after_an_open_profile_steps_one_degree(self, monkeypatch):
-        # the profile leaves the chain at degree 12 with its frontier, so
-        # regularity at the same caps steps degree 13 alone, meets the
-        # repeat there and walks no singular set
+    def test_profile_and_regularity_steps_each_degree_once(self, monkeypatch):
+        # regularity steps the chain to degree 13, one past the cap, meets
+        # the repeat there and walks no singular set; the profile then
+        # reads degrees 0-12 from the counts and steps nothing
         p = parse_presentation(REPEATS_AT_13)
         steps = _counted_steps(monkeypatch)
-        assert hilbert_profile(p, 12, limits=CENSUS_LIMITS).verdict == "open:12"
-        assert steps == list(range(2, 13))
-        del steps[:]
         monkeypatch.setattr(engine, "iter_singular_sets", _no_walk)
-        result = regularity_degree(p, CENSUS_LIMITS)
-        assert result.verdict == "irregular_up_to:12"
+        profile, result = profile_and_regularity(p, CENSUS_LIMITS)
+        assert steps == list(range(2, 14))
+        assert (profile.verdict, result.verdict) == ("open:12", "irregular_up_to:12")
         assert "repeats at degree 13" in result.detail
-        assert steps == [13]
+        engine._rules.cache_clear()
+        assert hilbert_profile(p, 12, limits=CENSUS_LIMITS) == profile
+        assert regularity_degree(p, CENSUS_LIMITS) == result
 
-    def test_a_frontier_past_the_bound_is_dropped(self, monkeypatch):
-        # degrees 8 and 9 have 3344 and 9136 classes: the chain keeps the
-        # first as its frontier, not the second, and a deeper call steps
-        # again from degree 1 to the answer of a fresh chain
+    def test_a_deeper_call_answers_as_a_fresh_chain(self):
+        # the quotient of x1*x1 = 0 never ends and grows past 9000 classes
+        # at degree 9; each deeper call steps again from degree 1, counts
+        # only the new degrees and keeps no basis between calls
         p = parse_presentation("generators 3\nx1*x1 = 0\n")
         width = DEFAULT_LIMITS.max_classes
-        steps = _counted_steps(monkeypatch)
-        engine._chain(p, FULL, 8, width)
-        assert engine._rules(p, FULL).frontier.degree == 8
-        assert engine._chain(p, FULL, 9, width)[0][-2:] == (3344, 9136)
-        assert engine._rules(p, FULL).frontier is None
-        del steps[:]
-        deeper = engine._chain(p, FULL, 10, width)
-        assert steps == list(range(2, 11))
-        engine._rules.cache_clear()
-        assert engine._chain(p, FULL, 10, width) == deeper
-        assert deeper[0][-1] > engine._FRONTIER_CLASSES and deeper[1:] == (None, None)
-        assert hilbert_profile(p, 10).dims == deeper[0]
+        for upto in (8, 9, 10):
+            got = engine._chain(p, FULL, upto, width)
+            rules = engine._rules(p, FULL)
+            assert len(rules.counts) == upto + 1 and got[1:] == (None, None)
+            assert not any(isinstance(r, MinimalBasis) for r in gc.get_referents(rules))
+            engine._rules.cache_clear()
+            assert engine._chain(p, FULL, upto, width) == got
+        assert got[0][8:10] == (3344, 9136)
+        assert hilbert_profile(p, 10).dims == got[0]
+
+    def test_each_counted_degree_is_one_basis_step(self, monkeypatch, tower5):
+        # one next_minimal_basis call for each degree a chain steps, which
+        # the benchmark's tracer counts: a fresh tower 5 chain makes one a
+        # degree up to its nilpotency index 11, and a deeper call on an
+        # open chain makes one a degree from 2 to its new cap
+        calls = []
+        step = engine.next_minimal_basis
+
+        def counted(basis, *args):
+            calls.append(basis.degree + 1)
+            return step(basis, *args)
+
+        monkeypatch.setattr(engine, "next_minimal_basis", counted)
+        assert hilbert_profile(tower5, 40).nilpotency_index == 11
+        assert calls == list(range(2, 12))
+        p = parse_presentation(REPEATS_AT_13)
+        hilbert_profile(p, 6)
+        del calls[:]
+        assert hilbert_profile(p, 10).verdict == "open:10"
+        assert calls == list(range(2, 11))
 
     def test_answers_equal_the_walk(self, tower5):
         limits = EngineLimits(max_degree=12)

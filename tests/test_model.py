@@ -153,9 +153,11 @@ class TestPresentation:
         assert m2.support_union == frozenset({(2, 2), (1, 1), (2, 1)})
 
     def test_zero_and_binomial_split(self, m4):
-        assert len(m4.zero_relations()) == 2
-        assert len(m4.binomial_relations()) == 4
-        assert set(m4.zero_relations()) | set(m4.binomial_relations()) == set(m4.relations)
+        zeros = [r for r in m4.relations if r.is_zero]
+        binomials = [r for r in m4.relations if not r.is_zero]
+        assert len(zeros) == 2
+        assert len(binomials) == 4
+        assert set(zeros) | set(binomials) == set(m4.relations)
 
 
 class TestValidate:
